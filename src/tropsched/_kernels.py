@@ -5,6 +5,12 @@ Finite entries are accepted only up to |v| <= 2**50 and the sentinel sits at
 Every kernel re-clamps its output to the sentinel, which keeps the drift of
 "bottom plus finite" sums bounded; anything at or below -2**61 converts back
 to the bottom element.
+
+That argument covers one addition.  A closure adds up to n - 1 entries along
+an elementary path, so it is exact only while (n - 1) * max|finite entry|
+stays short of the cutoff: then a finite path sum stays above -2**61, and a
+bottom entry plus such a sum stays at or below it.  `paths_fit` checks this
+bound; callers take the payload loop when it fails.
 """
 
 from __future__ import annotations
@@ -87,14 +93,48 @@ def vecmat(v, a):
     return np.maximum(np.max(v[:, None] + a, axis=0), NEG)
 
 
+def paths_fit(a):
+    """True when every elementary path sum of square `a` is exact in int64."""
+    finite = np.abs(a[a > BOTTOM_CUTOFF])
+    span = (a.shape[0] - 1) * int(finite.max()) if finite.size else 0
+    return span < -BOTTOM_CUTOFF and NEG + span <= BOTTOM_CUTOFF
+
+
+def _reset_bottom(a):
+    """Copy of `a` with every bottom entry back at the sentinel."""
+    return np.where(a > BOTTOM_CUTOFF, a, NEG)
+
+
 def closure(a):
     """Floyd-Warshall transitive closure A+ (max-plus), input left intact."""
-    d = a.copy()
+    d = _reset_bottom(a)
     n = d.shape[0]
     for k in range(n):
         np.maximum(d, d[:, k, None] + d[None, k, :], out=d)
         np.maximum(d, NEG, out=d)
     return d
+
+
+def positive_cycle_pivot(a):
+    """Floyd-Warshall with successor pointers, stopped at the first pivot k
+    where some d[i][k] + d[k][i] > 0.
+
+    Returns (i, k, succ): succ[u][v] is the node after u on the longest
+    path u -> v through pivots 0..k-1, so the walks i -> k and k -> i close
+    a positive walk.  Returns None when no cycle is positive.
+    """
+    d = _reset_bottom(a)
+    n = d.shape[0]
+    succ = np.broadcast_to(np.arange(n), (n, n)).copy()
+    for k in range(n):
+        through = d[:, k, None] + d[None, k, :]
+        hits = (through.diagonal() > 0).nonzero()[0]
+        if hits.size:
+            return int(hits[0]), k, succ
+        better = through > d
+        np.copyto(d, through, where=better)
+        np.copyto(succ, succ[:, k, None], where=better)
+    return None
 
 
 def new_bottom(m, n):

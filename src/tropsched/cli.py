@@ -92,11 +92,15 @@ def _read(path):
         raise CliError(f"cannot read {path}: {e}") from e
 
 
-def cmd_solve(args):
+def _load(path, mode):
     try:
-        doc = load_instance(args.instance, mode=args.mode)
+        return load_instance(path, mode=mode)
     except OSError as e:
-        raise CliError(f"cannot read {args.instance}: {e}") from e
+        raise CliError(f"cannot read {path}: {e}") from e
+
+
+def cmd_solve(args):
+    doc = _load(args.instance, args.mode)
     inst = doc.instance
     solver = solve_makespan if args.objective == "makespan" else solve_deviation
     fam = solver(inst)
@@ -204,7 +208,7 @@ def cmd_chart(args):
 
 
 def cmd_verify(args):
-    doc = load_instance(args.instance, mode=args.mode)
+    doc = _load(args.instance, args.mode)
     rows = parse_schedule(_read(args.schedule), mode=args.mode)
     missing = [nm for nm in doc.names if nm not in rows]
     extra = [nm for nm in rows if nm not in doc.names]

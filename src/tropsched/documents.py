@@ -339,7 +339,12 @@ def _scalar_from_json(o):
     if o is None:
         return BOTTOM
     if isinstance(o, str):
-        return TropScalar(Fraction(o))
+        try:
+            return TropScalar(Fraction(o))
+        except (ValueError, ZeroDivisionError):
+            raise InstanceFormatError(
+                f"bad scalar {o!r} in result document"
+            ) from None
     if isinstance(o, bool) or not isinstance(o, (int, float)):
         raise InstanceFormatError(f"bad scalar {o!r} in result document")
     return TropScalar(o)
@@ -440,7 +445,7 @@ def result_from_json(text):
             f"bad result document: expected format {RESULT_FORMAT!r}"
         )
     try:
-        return ResultDocument(
+        doc = ResultDocument(
             objective=obj["objective"],
             mode=obj["mode"],
             title=obj.get("title"),
@@ -462,3 +467,28 @@ def result_from_json(text):
         if isinstance(e, InstanceFormatError):
             raise
         raise InstanceFormatError(f"bad result document: {e}") from e
+    _check_sizes(doc)
+    return doc
+
+
+def _check_sizes(doc):
+    """Activities, generator rows and schedules share one length; the
+    parameter box matches the generator's columns."""
+    n = len(doc.names)
+    rows, cols = doc.generator.shape
+    lengths = [rows] + [
+        len(v)
+        for sched in (doc.low, doc.high)
+        if sched is not None
+        for v in (sched.start, sched.finish)
+    ]
+    if any(m != n for m in lengths):
+        raise InstanceFormatError(
+            f"bad result document: {n} activities but generator or"
+            " schedules of another length"
+        )
+    if len(doc.u_low) != cols or len(doc.u_high) != cols:
+        raise InstanceFormatError(
+            "bad result document: parameter box does not match the"
+            f" generator's {cols} columns"
+        )

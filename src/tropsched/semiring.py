@@ -571,11 +571,13 @@ class TropMatrix:
         if n == 0:
             return self
         arr = self._int_array() if n >= _FAST_CLOSURE_DIM else None
+        if arr is not None and not _kernels.paths_fit(arr):
+            arr = None
         if arr is not None:
             closed = _kernels.closure(arr)
             diag = closed.diagonal()
             if (diag > 0).any():
-                cycle, weight = _positive_cycle_witness(self._rows, n)
+                cycle, weight = _positive_cycle_witness(self._rows, n, arr)
                 raise PositiveCycleError(cycle, _scalar(weight))
             for i in range(n):
                 if closed[i, i] < 0:
@@ -668,68 +670,75 @@ def _closure_rows(rows, n):
     return d
 
 
-def _positive_cycle_witness(rows, n):
+def _positive_cycle_witness(rows, n, arr=None):
     """Find an elementary cycle of positive weight; returns (nodes, weight).
 
-    Scans the diagonals of A^k for k = 1..n; any positive cycle of length L
-    puts a positive entry on the diagonal of A^L, so the scan must hit.
+    One Floyd-Warshall pass with successor pointers, stopped at the first
+    pivot k where some d[i][k] + d[k][i] > 0.  No earlier pivot closed a
+    positive cycle, so the successor walks i -> k and k -> i are longest
+    paths and together form a positive closed walk, which is then trimmed
+    to an elementary cycle.  `arr` is the int64 form of `rows` when the
+    kernels may run on it; the pass then runs there, else on the payloads.
     """
     for i in range(n):
         v = rows[i][i]
         if v is not None and v > 0:
             return (i,), v
-    use_fast = _kernels.available()
-    arr = _kernels.from_payload_rows(rows) if use_fast else None
-    if arr is not None:
-        power = arr
-        for k in range(2, n + 1):
-            power = _kernels.matmul(power, arr)
-            diag = power.diagonal()
-            hits = (diag > 0).nonzero()[0]
-            if hits.size:
-                return _walk_witness(rows, n, int(hits[0]), k)
-    else:
-        power = rows
-        for k in range(2, n + 1):
-            power = _mul_rows(power, rows)
-            for j in range(n):
-                pj = power[j][j]
-                if pj is not None and pj > 0:
-                    return _walk_witness(rows, n, j, k)
-    raise AssertionError("no positive cycle found despite positive diagonal")
+    hit = (
+        _kernels.positive_cycle_pivot(arr)
+        if arr is not None
+        else _positive_cycle_pivot_rows(rows, n)
+    )
+    if hit is None:
+        raise AssertionError("no positive cycle found despite positive diagonal")
+    i, k, succ = hit
+    walk = _successor_path(succ, i, k, n) + _successor_path(succ, k, i, n)[1:]
+    return _trim_to_positive_cycle(rows, walk)
 
 
-def _walk_witness(rows, n, j, k):
-    """Recover a positive closed walk j -> j of length k, then trim it to an
-    elementary cycle by splicing out non-positive sub-cycles."""
-    best = [None] * n
-    best[j] = 0
-    parents = []
-    for _ in range(k):
-        nb = [None] * n
-        pt = [None] * n
-        for v in range(n):
-            bv = best[v]
-            if bv is None:
+def _positive_cycle_pivot_rows(rows, n):
+    """Payload form of _kernels.positive_cycle_pivot."""
+    d = [list(r) for r in rows]
+    succ = [list(range(n)) for _ in range(n)]
+    for k in range(n):
+        dk = d[k]
+        for i in range(n):
+            dik, dki = d[i][k], dk[i]
+            if dik is not None and dki is not None and dik + dki > 0:
+                return i, k, succ
+        for i in range(n):
+            dik = d[i][k]
+            if dik is None:
                 continue
-            row = rows[v]
-            for w in range(n):
-                e = row[w]
-                if e is None:
+            di = d[i]
+            si = succ[i]
+            sik = si[k]
+            for j in range(n):
+                dkj = dk[j]
+                if dkj is None:
                     continue
-                cand = bv + e
-                if nb[w] is None or cand > nb[w]:
-                    nb[w] = cand
-                    pt[w] = v
-        best = nb
-        parents.append(pt)
-    walk = [j]
-    cur = j
-    for t in range(k - 1, -1, -1):
-        cur = parents[t][cur]
-        walk.append(cur)
-    walk.reverse()
+                v = dik + dkj
+                if di[j] is None or v > di[j]:
+                    di[j] = v
+                    si[j] = sik
+    return None
 
+
+def _successor_path(succ, i, j, n):
+    """Nodes of the path i -> j read off successor pointers (at least one
+    edge, so i == j gives a closed walk)."""
+    path = [i]
+    for _ in range(n):
+        i = int(succ[i][j])
+        path.append(i)
+        if i == j:
+            return path
+    raise AssertionError("successor pointers do not lead to the target")
+
+
+def _trim_to_positive_cycle(rows, walk):
+    """Trim a closed walk of positive weight to an elementary positive cycle
+    by splicing out non-positive sub-cycles."""
     stack = [walk[0]]
     cums = [0]
     pos = {walk[0]: 0}

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -183,6 +184,14 @@ class TestChart:
         assert main(["chart", str(path), "--member", "high"]) == 2
         assert "bad result document" in capsys.readouterr().err
 
+    def test_short_activity_list(self, tmp_path, capsys):
+        path = Path(self._result_file(tmp_path))
+        obj = json.loads(path.read_text())
+        obj["activities"].pop()
+        path.write_text(json.dumps(obj))
+        assert main(["chart", str(path), "--member", "high"]) == 2
+        assert "bad result document" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_feasible(self, capsys):
@@ -210,6 +219,10 @@ class TestVerify:
         path.write_text(GOOD_SCHED + "session-9 0 1\n")
         assert main(["verify", INSTANCE, str(path)]) == 2
         assert "schedule has unknown activities: session-9" in capsys.readouterr().err
+
+    def test_missing_instance(self, capsys):
+        assert main(["verify", "/nonexistent.inst", SCHEDULE]) == 2
+        assert "error: cannot read /nonexistent.inst" in capsys.readouterr().err
 
 
 class TestArgparse:

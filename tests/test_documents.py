@@ -331,3 +331,25 @@ class TestResultJson:
                     }
                 )
             )
+
+    def test_zero_denominator_scalar(self, doc):
+        obj = json.loads(result_to_json(_result_doc(doc)))
+        obj["theta"] = "1/0"
+        with pytest.raises(InstanceFormatError, match="bad scalar '1/0'"):
+            result_from_json(json.dumps(obj))
+
+    @pytest.mark.parametrize(
+        "cut",
+        [
+            lambda o: o["activities"].pop(),
+            lambda o: o["generator"].pop(),
+            lambda o: o["schedules"]["high"]["finish"].pop(),
+            lambda o: o["u_high"].pop(),
+        ],
+        ids=["activities", "generator", "schedule", "u_high"],
+    )
+    def test_size_mismatch(self, doc, cut):
+        obj = json.loads(result_to_json(_result_doc(doc)))
+        cut(obj)
+        with pytest.raises(InstanceFormatError, match="bad result document"):
+            result_from_json(json.dumps(obj))

@@ -16,6 +16,7 @@ from tropsched import (
     outer,
     solve_leq,
 )
+from tropsched import _kernels
 from tropsched.semiring import _closure_rows, _mul_rows
 
 N = None
@@ -342,6 +343,36 @@ class TestCycleWitness:
         assert sorted(ei.value.cycle) == [0, 1, 2, 3]
         assert ei.value.weight == TropScalar(1)
 
+    def test_many_hop_cycle_in_layered_dag(self):
+        # forward edges between consecutive layers of a 60-layer DAG, plus
+        # one back edge that makes exactly the longest 0 -> 199 paths close
+        # a cycle of weight 1
+        rng = random.Random(11)
+        n, layers = 200, 60
+        layer = [min(v * layers // n, layers - 1) for v in range(n)]
+        layer[0], layer[n - 1] = -1, layers
+        rows = [[N] * n for _ in range(n)]
+        for u in range(n):
+            for v in range(u + 1, n):
+                if layer[v] == layer[u] + 1 or (
+                    layer[u] < layer[v] and rng.random() < 0.02
+                ):
+                    rows[u][v] = rng.randint(1, 5)
+        longest = [N] * n
+        longest[0] = 0
+        for v in range(1, n):
+            into = [longest[u] + rows[u][v] for u in range(v)
+                    if longest[u] is not None and rows[u][v] is not None]
+            longest[v] = max(into) if into else N
+        rows[n - 1][0] = 1 - longest[n - 1]
+        m = TropMatrix(rows)
+        with pytest.raises(PositiveCycleError) as ei:
+            m.star()
+        cycle = ei.value.cycle
+        assert len(cycle) >= layers
+        assert len(set(cycle)) == len(cycle)
+        assert _cycle_weight(m, cycle) == ei.value.weight == TropScalar(1)
+
 
 class TestInequalitySolver:
     def test_duration_ceiling_example(self):
@@ -382,6 +413,16 @@ class TestOuter:
             outer(TropVector([1]), [0])
 
 
+@pytest.fixture
+def small_sentinels(monkeypatch):
+    """The int64 sentinel scheme shrunk, so that path sums on small
+    matrices cross the bottom cutoff as a 2050-node chain of -2**50 edges
+    does at the real sizes."""
+    monkeypatch.setattr(_kernels, "NEG", -(1 << 12))
+    monkeypatch.setattr(_kernels, "BOTTOM_CUTOFF", -(1 << 11))
+    monkeypatch.setattr(_kernels, "MAG_CAP", 1 << 8)
+
+
 class TestFastKernelParity:
     """The int64 kernels must agree with the payload implementation."""
 
@@ -418,6 +459,27 @@ class TestFastKernelParity:
             for i in range(30):
                 d[i][i] = 0
             assert a.star() == TropMatrix._from_rows(d)
+
+    def test_long_chain_closure_stays_exact(self, small_sentinels):
+        for n, fits in ((8, True), (9, False), (30, False)):
+            rows = [
+                [-(1 << 8) if j == i - 1 else N for j in range(n)]
+                for i in range(n)
+            ]
+            assert _kernels.paths_fit(_kernels.from_payload_rows(rows)) is fits
+        assert TropMatrix(rows).star()[29, 0] == TropScalar(-29 << 8)
+
+    def test_drifted_bottom_stays_bottom(self, small_sentinels):
+        # kernel outputs may hold bottom entries above the sentinel
+        # (sentinel plus a finite sum); a closure must not extend them
+        n = 20
+        arr = _kernels.new_bottom(n, n)
+        for i in range(1, n - 1):
+            arr[i, i + 1] = 50
+        arr[0, 1] = _kernels.NEG + 1500
+        s = TropMatrix._from_int_array(arr).star()
+        assert s[0, n - 1].is_bottom
+        assert s[1, n - 1] == TropScalar(50 * (n - 2))
 
     def test_huge_entries_fall_back(self):
         # magnitudes beyond the kernel cap must take the payload path
