@@ -11,6 +11,13 @@ an elementary path, so it is exact only while (n - 1) * max|finite entry|
 stays short of the cutoff: then a finite path sum stays above -2**61, and a
 bottom entry plus such a sum stays at or below it.  `paths_fit` checks this
 bound; callers take the payload loop when it fails.
+
+The rank-one solve on arrays (`optimize`) forms longer sums.  With M the
+largest finite magnitude in B, p, q~, g and h~: chain entries B^i p and
+q~ B^j (i, j <= n - 2) stay within (n - 1) M, theta within 2n M, an outer
+product term minus theta within (4n - 2) M, and h~ G within (4n - 1) M;
+a bottom drifts by at most the same sums.  `rank_one_fits` asks of 4n M
+what `paths_fit` asks of the path bound.
 """
 
 from __future__ import annotations
@@ -93,11 +100,21 @@ def vecmat(v, a):
     return np.maximum(np.max(v[:, None] + a, axis=0), NEG)
 
 
+def _span_fits(k, *arrays):
+    """True when k times the largest finite magnitude in `arrays` stays
+    above the cutoff, and the sentinel plus it at or below."""
+    span = k * max(int(np.abs(a[a > BOTTOM_CUTOFF]).max(initial=0)) for a in arrays)
+    return span < -BOTTOM_CUTOFF and NEG + span <= BOTTOM_CUTOFF
+
+
 def paths_fit(a):
     """True when every elementary path sum of square `a` is exact in int64."""
-    finite = np.abs(a[a > BOTTOM_CUTOFF])
-    span = (a.shape[0] - 1) * int(finite.max()) if finite.size else 0
-    return span < -BOTTOM_CUTOFF and NEG + span <= BOTTOM_CUTOFF
+    return _span_fits(a.shape[0] - 1, a)
+
+
+def rank_one_fits(b, *vecs):
+    """True when the rank-one solve on square `b` and its vectors is exact."""
+    return _span_fits(4 * b.shape[0], b, *vecs)
 
 
 def _reset_bottom(a):
@@ -137,8 +154,24 @@ def positive_cycle_pivot(a):
     return None
 
 
-def new_bottom(m, n):
-    return np.full((m, n), NEG, dtype=np.int64)
+def chains(b, p, qc):
+    """Rows i = 0..n-2 of B^i p and of q~ B^0 + ... + q~ B^i, stacked as
+    two (n-1) x n arrays."""
+    b = _reset_bottom(b)
+    n = b.shape[0]
+    v = np.empty((n - 1, n), dtype=np.int64)
+    w = np.empty_like(v)
+    v[0], w[0] = p, qc
+    for i in range(1, n - 1):
+        v[i] = matvec(b, v[i - 1])
+        w[i] = vecmat(w[i - 1], b)
+    return v, np.maximum.accumulate(w, axis=0)
+
+
+def dot(u, v):
+    """Max-plus dot product as a payload: an int, or None for bottom."""
+    s = int(np.max(u + v))
+    return None if s <= BOTTOM_CUTOFF else s
 
 
 def outer_acc(acc, v, w):

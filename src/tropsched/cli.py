@@ -117,7 +117,7 @@ def cmd_solve(args):
     for sched in (low, high):
         if sched is None:
             continue
-        report = verify_schedule(inst, sched)
+        report = verify_schedule(inst, sched, tol=tol)
         if not report.feasible:
             bad = report.violations[0]
             raise AssertionError(

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
+from . import _kernels
 from .semiring import (
     BOTTOM,
     ONE,
@@ -21,6 +22,7 @@ from .semiring import (
     TropMatrix,
     TropScalar,
     TropVector,
+    _FAST_CLOSURE_DIM,
     _scaled_outer_sum,
 )
 
@@ -153,8 +155,7 @@ def _constraint_star(B):
         ) from e
 
 
-def _check_box_gate(star, g, h):
-    gate = (h.conj() @ star) @ g
+def _check_box_gate(gate):
     if not (gate <= ONE):
         raise InfeasibleError(
             f"box and linear constraints conflict (h~ B* g = {gate} > 0)",
@@ -163,13 +164,53 @@ def _check_box_gate(star, g, h):
 
 
 def solve_rank_one(prob):
-    """Closed-form O(n^3) solution family for a rank-one objective."""
+    """Closed-form O(n^3) solution family for a rank-one objective: on int64
+    arrays where `_rank_one_int64` admits the problem, else on payloads."""
+    B, g, h = prob.B, prob.g, prob.h
+    star = _constraint_star(B)
+    theta, G, u_high = _rank_one_int64(prob, star) or _rank_one_payload(
+        prob, star
+    )
+    return SolutionFamily(
+        theta=theta, G=G, u_low=g, u_high=u_high, B=B, g=g, h=h
+    )
+
+
+def _rank_one_int64(prob, star):
+    """(theta, G, u_high) on int64 arrays, converted in once and out once;
+    None unless the problem is integer, has at least _FAST_CLOSURE_DIM
+    variables and passes `_kernels.rank_one_fits`."""
+    b = prob.B._int_array() if prob.n >= _FAST_CLOSURE_DIM else None
+    if b is None:
+        return None
+    vecs = [
+        _kernels.from_payload_vec(v._e)
+        for v in (prob.p, prob.q.conj(), prob.g, prob.h.conj())
+    ]
+    if any(v is None for v in vecs) or not _kernels.rank_one_fits(b, *vecs):
+        return None
+    p, qc, g, hc = vecs
+    s = star._int_array()
+    _check_box_gate(TropScalar(_kernels.dot(_kernels.vecmat(hc, s), g)))
+    vs, wpref = _kernels.chains(b, p, qc)
+    # the prefix maxima of w @ g are wpref @ g
+    a, bpref = _kernels.matvec(vs, hc), _kernels.matvec(wpref, g)
+    theta = TropScalar(_kernels.dot(_kernels.vecmat(qc, s), p)) + TropScalar(
+        _kernels.dot(a, bpref[::-1])
+    )
+    assert not theta.is_bottom, "optimal value fell to bottom"
+    G = _scaled_outer_sum(s, -theta.value, vs, wpref[::-1])
+    u_high = _kernels.to_payload_vec(-_kernels.vecmat(hc, G))
+    return theta, TropMatrix._from_int_array(G), TropVector._from_payloads(u_high)
+
+
+def _rank_one_payload(prob, star):
+    """(theta, G, u_high) computed on payloads, exact for every number type."""
     B, p, q, g, h = prob.B, prob.p, prob.q, prob.g, prob.h
     n = prob.n
-    star = _constraint_star(B)
-    _check_box_gate(star, g, h)
     hc = h.conj()
     qc = q.conj()
+    _check_box_gate((hc @ star) @ g)
 
     vs = []  # B^i p   for i = 0..n-2
     ws = []  # q~ B^j  for j = 0..n-2
@@ -198,13 +239,8 @@ def solve_rank_one(prob):
     for w in ws:
         cur = cur + w
         wpref.append(cur)
-    pairs = [(vs[i], wpref[n - 2 - i]) for i in range(len(vs))]
-    G = _scaled_outer_sum(star, theta.inv(), pairs)
-
-    u_high = (hc @ G).conj()
-    return SolutionFamily(
-        theta=theta, G=G, u_low=g, u_high=u_high, B=B, g=g, h=h
-    )
+    G = _scaled_outer_sum(star, theta.inv(), vs, wpref[::-1])
+    return theta, G, (hc @ G).conj()
 
 
 def solve_general(prob):
@@ -216,8 +252,8 @@ def solve_general(prob):
     A, B, g, h = prob.A, prob.B, prob.g, prob.h
     n = prob.n
     star = _constraint_star(B)
-    _check_box_gate(star, g, h)
     hc = h.conj()
+    _check_box_gate((hc @ star) @ g)
 
     powers = [TropMatrix.identity(n)]
     for _ in range(n - 1):

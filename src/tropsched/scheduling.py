@@ -82,14 +82,12 @@ class ProjectInstance:
         for name in ("release", "start_deadline", "finish_deadline"):
             if len(getattr(self, name)) != n:
                 raise ValueError(f"{name.replace('_', ' ')} vector must have length {n}")
-        for j in range(n):
-            if all(
-                self.start_finish[i, j].is_bottom for i in range(n)
-            ):
-                raise ValueError(
-                    "start-finish matrix must be column-regular"
-                    f" (activity {j} is on the start side of no start-finish constraint)"
-                )
+        if not self.start_finish.is_column_regular:
+            j = next(j for j in range(n) if not self.start_finish.col(j).is_nonzero)
+            raise ValueError(
+                "start-finish matrix must be column-regular"
+                f" (activity {j} is on the start side of no start-finish constraint)"
+            )
         if not self.start_deadline.is_regular:
             raise ValueError("start deadlines must be finite")
         if not self.finish_deadline.is_regular:
@@ -241,16 +239,8 @@ def deviation_value(x):
 def _auto_tol(inst, *vectors):
     mats = (inst.start_start, inst.start_finish, inst.finish_start)
     vecs = (inst.release, inst.start_deadline, inst.finish_deadline) + vectors
-    for m in mats:
-        for i in range(m.shape[0]):
-            for j in range(m.shape[1]):
-                if isinstance(m[i, j].value, float):
-                    return 1e-9
-    for v in vecs:
-        for entry in v:
-            if isinstance(entry.value, float):
-                return 1e-9
-    return 0
+    rows = [row for m in mats for row in m._rows] + [v._e for v in vecs]
+    return 1e-9 if any(isinstance(x, float) for row in rows for x in row) else 0
 
 
 def _violations(inst, x, y, tol):

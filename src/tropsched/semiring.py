@@ -782,36 +782,21 @@ def solve_leq(a, b):
     return (b.conj() @ a).conj()
 
 
-def _scaled_outer_sum(base, scale, pairs):
-    """base + scale * (sum of outer(v, w) over pairs), all tropical.
+def _scaled_outer_sum(base, scale, vs, ws):
+    """base + scale * (sum of outer(vs[k], ws[k]) over k), all tropical.
 
-    Fused so the solvers assemble their generator in O(n^2) per pair.
+    The rank-one solver's generator assembly.  On int64 arrays (base n x n,
+    vs and ws stacked k x n) it is one max-plus product; on TropMatrix and
+    TropVector operands it is fused so that each pair costs O(n^2).
     """
+    if not isinstance(base, TropMatrix):
+        return _kernels.scale_max(_kernels.matmul(vs.T, ws), scale, base)
     m, n = base.shape
     sp = scale._v if isinstance(scale, TropScalar) else _payload(scale)
-    if not pairs:
+    if not vs:
         return base
-    if _kernels.available() and type(sp) is int and m * n >= _FAST_MATVEC_WORK:
-        ab = base._int_array()
-        if ab is not None:
-            vecs = []
-            ok = True
-            for v, w in pairs:
-                fv = _kernels.from_payload_vec(v._e)
-                fw = _kernels.from_payload_vec(w._e)
-                if fv is None or fw is None:
-                    ok = False
-                    break
-                vecs.append((fv, fw))
-            if ok:
-                acc = _kernels.new_bottom(m, n)
-                for fv, fw in vecs:
-                    _kernels.outer_acc(acc, fv, fw)
-                return TropMatrix._from_int_array(
-                    _kernels.scale_max(acc, sp, ab)
-                )
     acc = [[None] * n for _ in range(m)]
-    for v, w in pairs:
+    for v, w in zip(vs, ws):
         ve = v._e
         we = w._e
         for i in range(m):

@@ -6,7 +6,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 import pytest
 
 import golden
-from tropsched import load_instance
+from tropsched import _kernels, load_instance
 
 
 @pytest.fixture(scope="session")
@@ -17,3 +17,13 @@ def doc():
 @pytest.fixture(scope="session")
 def inst(doc):
     return doc.instance
+
+
+@pytest.fixture
+def small_sentinels(monkeypatch):
+    """The int64 sentinel scheme shrunk, so that path sums on small
+    matrices cross the bottom cutoff as a 2050-node chain of -2**50 edges
+    does at the real sizes."""
+    monkeypatch.setattr(_kernels, "NEG", -(1 << 12))
+    monkeypatch.setattr(_kernels, "BOTTOM_CUTOFF", -(1 << 11))
+    monkeypatch.setattr(_kernels, "MAG_CAP", 1 << 8)

@@ -2,7 +2,9 @@
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import golden
 import randgen
@@ -17,9 +19,13 @@ from tropsched import (
     family_contains,
     family_member,
     outer,
+    solve_deviation,
     solve_general,
+    solve_makespan,
     solve_rank_one,
 )
+from tropsched import _kernels
+from tropsched.optimize import _rank_one_int64
 
 N = None
 
@@ -291,3 +297,123 @@ class TestStructuralInvariants:
                 if not x.is_regular:
                     continue
                 assert family_contains(fam, x, prob.objective)
+
+
+def potential_problem(seed, n):
+    """A random integer rank-one problem that is always feasible.
+
+    B[i][j] = pi[i] - pi[j] - slack with slack >= 0, so a cycle weighs
+    minus its slacks and B* <= pi pi~; g <= pi <= h then gives h~ B* g <= 0.
+    """
+    rng = random.Random(seed)
+    pi = [rng.randint(-40, 40) for _ in range(n)]
+    B = TropMatrix(
+        [
+            [pi[i] - pi[j] - rng.randint(0, 6) if rng.random() < 0.3 else N
+             for j in range(n)]
+            for i in range(n)
+        ]
+    )
+
+    def sparse(lo, hi, p_bottom):
+        return [N if rng.random() < p_bottom else rng.randint(lo, hi) for _ in range(n)]
+
+    p, q = sparse(-9, 9, 0.3), sparse(-9, 9, 0.3)
+    p[0], q[0] = rng.randint(-9, 9), rng.randint(-9, 9)  # q~ p is finite
+    g = [N if v is N else pi[j] - v for j, v in enumerate(sparse(0, 5, 0.1))]
+    h = [v + rng.randint(0, 5) for v in pi]
+    return RankOneProblem(
+        p=TropVector(p), q=TropVector(q), B=B, g=TropVector(g), h=TropVector(h)
+    )
+
+
+def solve_both(solve, build):
+    """solve(build()) with the int64 kernels and with the payload code only;
+    each run gets a fresh problem, so no cached array crosses over."""
+    fast = solve(build())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "available", lambda: False)
+        slow = solve(build())
+    return fast, slow
+
+
+def same_family(a, b):
+    return (a.theta, a.G, a.u_high) == (b.theta, b.G, b.u_high)
+
+
+class TestInt64Path:
+    """The array solve must give exactly the payload solve's family."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(15, 45), st.integers(0, 2**32))
+    def test_rank_one_matches_payload_path(self, n, seed):
+        fast, slow = solve_both(solve_rank_one, lambda: potential_problem(seed, n))
+        assert same_family(fast, slow)
+        prob = potential_problem(seed, n)
+        admitted = _rank_one_int64(prob, prob.B.star()) is not None
+        assert admitted == (n >= 20)
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(15, 45), st.integers(0, 2**32))
+    def test_scheduling_objectives_match_payload_path(self, n, seed):
+        def build():
+            return randgen.layered_instance(random.Random(seed), n)
+
+        for solve in (solve_makespan, solve_deviation):
+            fast, slow = solve_both(solve, build)
+            assert same_family(fast.solutions, slow.solutions)
+
+    def test_sums_past_the_cutoff_take_the_payload_path(self, small_sentinels):
+        # every entry is within MAG_CAP (2**8 here) and the chain's paths
+        # fit, so B* runs on arrays; but u_high[0] = -(19 * 107 + 256)
+        # lies past the cutoff of -2**11, which the array solve would
+        # return as bottom
+        n = 20
+
+        def build():
+            return RankOneProblem(
+                p=TropVector.ones(n),
+                q=TropVector.ones(n),
+                B=TropMatrix(
+                    [[107 if j == i - 1 else N for j in range(n)] for i in range(n)]
+                ),
+                g=TropVector.zeros(n),
+                h=TropVector.full(n, -256),
+            )
+
+        fast, slow = solve_both(solve_rank_one, build)
+        assert same_family(fast, slow)
+        assert fast.u_high[0] == TropScalar(-(19 * 107 + 256))
+        prob = build()
+        assert _kernels.paths_fit(prob.B._int_array())
+        assert _rank_one_int64(prob, prob.B.star()) is None
+
+    def test_drifted_bottom_in_B_stays_bottom(self, small_sentinels):
+        # B is a kernel output whose bottom entry [18, 17] sits just below
+        # the cutoff; the chains must not carry it past the cutoff as if
+        # it were finite
+        n = 20
+        arr = np.full((n, n), _kernels.NEG, dtype=np.int64)
+        for i in range(1, n - 2):
+            arr[i, i - 1] = 25
+        arr[n - 2, n - 3] = _kernels.BOTTOM_CUTOFF - 1
+        drifted = TropMatrix._from_int_array(arr)
+        e0 = TropVector([0] + [N] * (n - 1))
+
+        def solve(B):
+            return solve_rank_one(
+                RankOneProblem(
+                    p=e0, q=e0, B=B, g=TropVector.zeros(n), h=TropVector.ones(n)
+                )
+            )
+
+        fast = solve(drifted)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernels, "available", lambda: False)
+            slow = solve(TropMatrix(drifted._rows))
+        assert same_family(fast, slow)
+        assert fast.G[n - 2, 0].is_bottom
+        prob = RankOneProblem(
+            p=e0, q=e0, B=drifted, g=TropVector.zeros(n), h=TropVector.ones(n)
+        )
+        assert _rank_one_int64(prob, drifted.star()) is not None

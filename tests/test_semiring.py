@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import golden
@@ -413,16 +414,6 @@ class TestOuter:
             outer(TropVector([1]), [0])
 
 
-@pytest.fixture
-def small_sentinels(monkeypatch):
-    """The int64 sentinel scheme shrunk, so that path sums on small
-    matrices cross the bottom cutoff as a 2050-node chain of -2**50 edges
-    does at the real sizes."""
-    monkeypatch.setattr(_kernels, "NEG", -(1 << 12))
-    monkeypatch.setattr(_kernels, "BOTTOM_CUTOFF", -(1 << 11))
-    monkeypatch.setattr(_kernels, "MAG_CAP", 1 << 8)
-
-
 class TestFastKernelParity:
     """The int64 kernels must agree with the payload implementation."""
 
@@ -473,7 +464,7 @@ class TestFastKernelParity:
         # kernel outputs may hold bottom entries above the sentinel
         # (sentinel plus a finite sum); a closure must not extend them
         n = 20
-        arr = _kernels.new_bottom(n, n)
+        arr = np.full((n, n), _kernels.NEG, dtype=np.int64)
         for i in range(1, n - 1):
             arr[i, i + 1] = 50
         arr[0, 1] = _kernels.NEG + 1500
