@@ -22,18 +22,37 @@ what `paths_fit` asks of the path bound.
 
 from __future__ import annotations
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy is a declared dependency
-    np = None
+import functools
+import importlib.util
 
 NEG = -(1 << 62)
 MAG_CAP = 1 << 50
 BOTTOM_CUTOFF = -(1 << 61)
 
 
+class _LazyNumpy:
+    """Stands in for numpy until a kernel first needs it.
+
+    Importing numpy costs more than a small solve, so it is imported on the
+    first attribute access, which also rebinds the module global `np` to
+    numpy itself.  Until then numpy stays out of sys.modules.
+    """
+
+    def __getattr__(self, name):
+        global np
+        import numpy
+
+        np = numpy
+        return getattr(numpy, name)
+
+
+np = _LazyNumpy()
+
+
+@functools.cache
 def available() -> bool:
-    return np is not None
+    """True when numpy can be imported; checked without importing it."""
+    return importlib.util.find_spec("numpy") is not None
 
 
 def from_payload_rows(rows):

@@ -90,6 +90,8 @@ def _read(path):
             return fh.read()
     except OSError as e:
         raise CliError(f"cannot read {path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise CliError(f"cannot read {path}: not UTF-8 text") from e
 
 
 def _load(path, mode):
@@ -97,6 +99,8 @@ def _load(path, mode):
         return load_instance(path, mode=mode)
     except OSError as e:
         raise CliError(f"cannot read {path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise CliError(f"cannot read {path}: not UTF-8 text") from e
 
 
 def cmd_solve(args):

@@ -320,8 +320,8 @@ class TropVector:
                 )
             fast = None
             if (
-                _kernels.available()
-                and len(self._e) * other._ncols >= _FAST_MATVEC_WORK
+                len(self._e) * other._ncols >= _FAST_MATVEC_WORK
+                and _kernels.available()
             ):
                 fm = other._int_array()
                 if fm is not None:
@@ -364,17 +364,21 @@ class TropVector:
 
 
 class TropMatrix:
-    """Dense max-plus matrix stored row-major as immutable payload tuples."""
+    """Dense max-plus matrix stored row-major as immutable payload tuples.
 
-    __slots__ = ("_rows", "_nrows", "_ncols", "_intcache")
+    A matrix made by a kernel holds its int64 array and boxes it into
+    payload rows only when they are first read.
+    """
+
+    __slots__ = ("_rowcache", "_nrows", "_ncols", "_intcache")
 
     def __init__(self, rows):
-        self._rows = tuple(
+        self._rowcache = tuple(
             tuple(_payload(v) for v in row) for row in rows
         )
-        self._nrows = len(self._rows)
-        self._ncols = len(self._rows[0]) if self._rows else 0
-        for row in self._rows:
+        self._nrows = len(self._rowcache)
+        self._ncols = len(self._rowcache[0]) if self._rowcache else 0
+        for row in self._rowcache:
             if len(row) != self._ncols:
                 raise ValueError("rows have unequal lengths")
         self._intcache = _MISSING
@@ -382,17 +386,26 @@ class TropMatrix:
     @classmethod
     def _from_rows(cls, rows):
         m = cls.__new__(cls)
-        m._rows = tuple(tuple(r) for r in rows)
-        m._nrows = len(m._rows)
-        m._ncols = len(m._rows[0]) if m._rows else 0
+        m._rowcache = tuple(tuple(r) for r in rows)
+        m._nrows = len(m._rowcache)
+        m._ncols = len(m._rowcache[0]) if m._rowcache else 0
         m._intcache = _MISSING
         return m
 
     @classmethod
     def _from_int_array(cls, arr):
-        m = cls._from_rows(_kernels.to_payload_rows(arr))
+        """Matrix over `arr`, which must not be written to afterwards."""
+        m = cls.__new__(cls)
+        m._rowcache = None
+        m._nrows, m._ncols = arr.shape
         m._intcache = arr
         return m
+
+    @property
+    def _rows(self):
+        if self._rowcache is None:
+            self._rowcache = _kernels.to_payload_rows(self._intcache)
+        return self._rowcache
 
     @classmethod
     def identity(cls, n):
@@ -482,8 +495,8 @@ class TropMatrix:
                     f" by {other._nrows}x{other._ncols}"
                 )
             if (
-                _kernels.available()
-                and self._nrows * self._ncols * other._ncols >= _FAST_MATMUL_WORK
+                self._nrows * self._ncols * other._ncols >= _FAST_MATMUL_WORK
+                and _kernels.available()
             ):
                 fa = self._int_array()
                 fb = other._int_array()
@@ -497,8 +510,8 @@ class TropMatrix:
                     f" by {len(other._e)}x1"
                 )
             if (
-                _kernels.available()
-                and self._nrows * self._ncols >= _FAST_MATVEC_WORK
+                self._nrows * self._ncols >= _FAST_MATVEC_WORK
+                and _kernels.available()
             ):
                 fa = self._int_array()
                 if fa is not None:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -14,8 +15,10 @@ except ModuleNotFoundError:  # Python 3.10; pytest depends on tomli there
     import tomli as tomllib
 
 import golden
+import randgen
 from tropsched import TropScalar
 from tropsched.cli import main
+from tropsched.documents import InstanceDocument, serialize_instance
 
 NO_RELEASE = """\
 activity a start-by=10 finish-by=20
@@ -47,6 +50,7 @@ BAD_SCHED = GOOD_SCHED.replace("session-2 1 5", "session-2 0 4")
 INSTANCE = golden.fixture("vaccination.inst")
 SCHEDULE = golden.fixture("vaccination-optimal.sched")
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+SRC = PYPROJECT.parent / "src"
 
 
 class TestSolve:
@@ -232,6 +236,23 @@ class TestVerify:
         assert "error: cannot read /nonexistent.inst" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "BAD", "--objective", "makespan"],
+        ["verify", "BAD", SCHEDULE],
+        ["verify", INSTANCE, "BAD"],
+        ["chart", "BAD", "--member", "high"],
+    ],
+    ids=["solve-instance", "verify-instance", "verify-schedule", "chart-result"],
+)
+def test_non_utf8_file_is_exit_2(tmp_path, capsys, argv):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(b"\xff" + Path(INSTANCE).read_bytes())
+    assert main([str(bad) if a == "BAD" else a for a in argv]) == 2
+    assert capsys.readouterr().err == f"error: cannot read {bad}: not UTF-8 text\n"
+
+
 class TestArgparse:
     def test_no_arguments(self, capsys):
         with pytest.raises(SystemExit) as ei:
@@ -302,3 +323,94 @@ class TestConsoleScript:
         )
         assert proc.returncode == 3
         assert "violated start-start at session-2, session-1" in proc.stdout
+
+
+# Runs tropsched.cli.main on each argv of the JSON list in sys.argv[1] and
+# prints, per run, the exit code, the output and whether numpy is loaded
+# (a None entry in sys.modules blocks the import and loads nothing).
+_CHILD = """\
+import contextlib, io, json, sys
+{prelude}
+from tropsched import _kernels
+from tropsched.cli import main
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    runs.append([code, out.getvalue(), sys.modules.get("numpy") is not None])
+print(json.dumps({{"available": _kernels.available(), "runs": runs}}))
+"""
+
+
+def _fresh_interpreter(code, *args):
+    """Run `code` in a new interpreter that imports tropsched from src/."""
+    pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=pythonpath),
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def _fresh_cli(argvs, prelude=""):
+    out = _fresh_interpreter(_CHILD.format(prelude=prelude), json.dumps(argvs))
+    return json.loads(out)
+
+
+def _layered_file(tmp_path, n):
+    inst = randgen.layered_instance(random.Random(n), n)
+    doc = InstanceDocument(names=tuple(f"t{i}" for i in range(n)), instance=inst)
+    path = tmp_path / f"layered-{n}.inst"
+    path.write_text(serialize_instance(doc))
+    return str(path)
+
+
+class TestLazyNumpy:
+    """numpy is imported only when a problem first reaches an int64 kernel."""
+
+    def test_small_requests_do_not_import_numpy(self, tmp_path):
+        result = str(tmp_path / "result.json")
+        small = [
+            ["solve", INSTANCE, "--objective", "makespan"],
+            ["solve", INSTANCE, "--objective", "deviation", "--format", "json",
+             "--out", result],
+            ["verify", INSTANCE, SCHEDULE],
+            ["chart", result, "--member", "low"],
+            ["chart", result, "--member", "high", "--format", "svg"],
+            ["solve", _layered_file(tmp_path, 10), "--objective", "makespan"],
+        ]
+        large = ["solve", _layered_file(tmp_path, 30), "--objective", "makespan"]
+        runs = _fresh_cli(small + [large])["runs"]
+        expected = [(0, False)] * len(small) + [(0, True)]
+        assert [(code, loaded) for code, _, loaded in runs] == expected
+
+    @pytest.mark.parametrize("objective", ["makespan", "deviation"])
+    def test_without_numpy_the_output_is_identical(self, tmp_path, capsys, objective):
+        argv = ["solve", _layered_file(tmp_path, 30), "--objective", objective,
+                "--format", "json"]
+        assert main(argv) == 0
+        expected = capsys.readouterr().out
+        child = _fresh_cli([argv], prelude='sys.modules["numpy"] = None')
+        assert child["available"] is False
+        assert child["runs"] == [[0, expected, False]]
+
+    @pytest.mark.parametrize(
+        "first_call",
+        [
+            "m = TropMatrix._from_int_array(np.full((20, 20), -1, dtype=np.int64)).star()\n"
+            "assert m._rows == tuple(\n"
+            "    tuple(0 if i == j else -1 for j in range(20)) for i in range(20))",
+            "assert _kernels.paths_fit(np.full((20, 20), -1, dtype=np.int64))",
+        ],
+        ids=["star", "paths_fit"],
+    )
+    def test_kernels_work_as_the_first_call(self, first_call):
+        _fresh_interpreter(
+            "import numpy as np\n"
+            "from tropsched import _kernels\n"
+            "from tropsched.semiring import TropMatrix\n" + first_call
+        )
