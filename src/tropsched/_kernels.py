@@ -13,11 +13,11 @@ bottom entry plus such a sum stays at or below it.  `paths_fit` checks this
 bound; callers take the payload loop when it fails.
 
 The rank-one solve on arrays (`optimize`) forms longer sums.  With M the
-largest finite magnitude in B, p, q~, g and h~: chain entries B^i p and
-q~ B^j (i, j <= n - 2) stay within (n - 1) M, theta within 2n M, an outer
-product term minus theta within (4n - 2) M, and h~ G within (4n - 1) M;
-a bottom drifts by at most the same sums.  `rank_one_fits` asks of 4n M
-what `paths_fit` asks of the path bound.
+largest finite magnitude in B, p, q~, g and h~: its chain entries (running
+maxima of B^i p and q~ B^j, i, j <= n - 2; it keeps only some) stay within
+(n - 1) M, theta within 2n M, an outer product term minus theta within
+(4n - 2) M, and h~ G within (4n - 1) M; a bottom drifts by at most the same
+sums.  `rank_one_fits` asks of 4n M what `paths_fit` asks of the path bound.
 """
 
 from __future__ import annotations
@@ -96,27 +96,18 @@ def to_payload_vec(arr):
 
 
 def matmul(a, b):
-    m, k = a.shape
-    n = b.shape[1]
-    if k == 0:
-        return np.full((m, n), NEG, dtype=np.int64)
-    out = np.empty((m, n), dtype=np.int64)
-    for i in range(m):
-        np.max(a[i, :, None] + b, axis=0, out=out[i])
-    np.maximum(out, NEG, out=out)
+    out = np.empty((a.shape[0], b.shape[1]), dtype=np.int64)
+    for i in range(a.shape[0]):
+        np.max(a[i, :, None] + b, axis=0, out=out[i], initial=NEG)
     return out
 
 
 def matvec(a, v):
-    if a.shape[1] == 0:
-        return np.full(a.shape[0], NEG, dtype=np.int64)
-    return np.maximum(np.max(a + v[None, :], axis=1), NEG)
+    return np.max(a + v[None, :], axis=1, initial=NEG)
 
 
 def vecmat(v, a):
-    if a.shape[0] == 0:
-        return np.full(a.shape[1], NEG, dtype=np.int64)
-    return np.maximum(np.max(v[:, None] + a, axis=0), NEG)
+    return np.max(v[:, None] + a, axis=0, initial=NEG)
 
 
 def _span_fits(k, *arrays):
@@ -173,18 +164,19 @@ def positive_cycle_pivot(a):
     return None
 
 
-def chains(b, p, qc):
-    """Rows i = 0..n-2 of B^i p and of q~ B^0 + ... + q~ B^i, stacked as
-    two (n-1) x n arrays."""
+def running_maxima(b, x, cap, left=False):
+    """Rows x, x max b x, ... (x b when `left`) up to row cap, stopped
+    before the first repeat; bottoms are reset at every step, so a drifted
+    one cannot hide a repeat."""
     b = _reset_bottom(b)
-    n = b.shape[0]
-    v = np.empty((n - 1, n), dtype=np.int64)
-    w = np.empty_like(v)
-    v[0], w[0] = p, qc
-    for i in range(1, n - 1):
-        v[i] = matvec(b, v[i - 1])
-        w[i] = vecmat(w[i - 1], b)
-    return v, np.maximum.accumulate(w, axis=0)
+    rows = [_reset_bottom(x)]
+    for _ in range(cap):
+        step = vecmat(rows[-1], b) if left else matvec(b, rows[-1])
+        nxt = _reset_bottom(np.maximum(rows[-1], step))
+        if np.array_equal(nxt, rows[-1]):
+            break
+        rows.append(nxt)
+    return np.stack(rows)
 
 
 def dot(u, v):

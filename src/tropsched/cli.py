@@ -11,6 +11,7 @@ schedule that fails verification), 4 internal assertion failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .charts import ascii_gantt, svg_gantt
@@ -116,6 +117,9 @@ def cmd_solve(args):
         # an activity whose finish no start-finish constraint defines
         raise CliError(str(e)) from e
 
+    if args.mode == "float":
+        _check_finite(fam.theta, low, high)
+
     # solver output must verify against the raw constraints before leaving
     tol = 0 if args.mode == "exact" else 1e-9
     for sched in (low, high):
@@ -160,6 +164,20 @@ def cmd_solve(args):
     else:
         _emit(_render_text(result), args.out)
     return 0
+
+
+def _check_finite(theta, *schedules):
+    """Float sums can overflow to inf (or inf - inf to nan); that is a
+    limit of the input's size, not a solver fault."""
+    values = [theta.value]
+    for sched in schedules:
+        if sched is not None:
+            values += sched.start._e + sched.finish._e
+    if any(v is not None and not math.isfinite(v) for v in values):
+        raise CliError(
+            "float arithmetic overflowed: the optimum or a schedule time is"
+            " not finite; use smaller numbers or --mode exact"
+        )
 
 
 def _render_text(result):

@@ -327,7 +327,10 @@ class ResultDocument:
 
 
 def _scalar_json(s):
-    v = s.value
+    return _payload_json(s.value)
+
+
+def _payload_json(v):
     if v is None:
         return None
     if isinstance(v, float):
@@ -350,8 +353,9 @@ def _scalar_from_json(o):
     return TropScalar(o)
 
 
-def _vector_json(vec):
-    return [_scalar_json(s) for s in vec]
+def _vector_json(payloads):
+    """JSON list of a payload tuple (`TropVector._e` or a matrix row)."""
+    return [_payload_json(v) for v in payloads]
 
 
 def _vector_from_json(obj):
@@ -362,8 +366,8 @@ def _schedule_json(sched):
     if sched is None:
         return None
     return {
-        "start": _vector_json(sched.start),
-        "finish": _vector_json(sched.finish),
+        "start": _vector_json(sched.start._e),
+        "finish": _vector_json(sched.finish._e),
     }
 
 
@@ -416,12 +420,9 @@ def result_to_json(doc):
         "unit": doc.unit,
         "activities": list(doc.names),
         "theta": _scalar_json(doc.theta),
-        "generator": [
-            _vector_json(doc.generator.row(i))
-            for i in range(doc.generator.shape[0])
-        ],
-        "u_low": _vector_json(doc.u_low),
-        "u_high": _vector_json(doc.u_high),
+        "generator": [_vector_json(row) for row in doc.generator._rows],
+        "u_low": _vector_json(doc.u_low._e),
+        "u_high": _vector_json(doc.u_high._e),
         "schedules": {
             "low": _schedule_json(doc.low),
             "high": _schedule_json(doc.high),

@@ -6,6 +6,14 @@ the dimension and meant for cross-checking at small sizes.  solve_rank_one
 requires A = p q~ and assembles the optimum and its parametric solution
 family in O(n^3) time.  Both return a SolutionFamily describing every
 regular optimal solution as x = G u with g <= u <= u_high, u nonzero.
+
+solve_rank_one's closed form sums (B^i p)(W_{n-2-i}) over i = 0..n-2, with
+W_j the maximum of q~ B^0, ..., q~ B^j.  It takes the running maxima
+V_i = V_{i-1} + B V_{i-1} and W_j = W_{j-1} + W_{j-1} B, each stopped at
+its first repeat, after which it cannot change; V_i may replace B^i p, as
+B^k p W_{n-2-i} <= B^k p W_{n-2-k} for k <= i.  As V rises and W_{n-2-i}
+falls with i, the terms with n-2-dw <= i <= dv (dv, dw: the chains' last
+indices) dominate the rest, or V_dv W_dw alone when there are none.
 """
 
 from __future__ import annotations
@@ -192,55 +200,55 @@ def _rank_one_int64(prob, star):
     p, qc, g, hc = vecs
     s = star._int_array()
     _check_box_gate(TropScalar(_kernels.dot(_kernels.vecmat(hc, s), g)))
-    vs, wpref = _kernels.chains(b, p, qc)
-    # the prefix maxima of w @ g are wpref @ g
-    a, bpref = _kernels.matvec(vs, hc), _kernels.matvec(wpref, g)
+    vs = _kernels.running_maxima(b, p, prob.n - 2)
+    ws = _kernels.running_maxima(b, qc, prob.n - 2, left=True)
+    iv, jw = _dominant_terms(prob.n, len(vs) - 1, len(ws) - 1)
+    vs, ws = vs[iv], ws[jw]
     theta = TropScalar(_kernels.dot(_kernels.vecmat(qc, s), p)) + TropScalar(
-        _kernels.dot(a, bpref[::-1])
+        _kernels.dot(_kernels.matvec(vs, hc), _kernels.matvec(ws, g))
     )
     assert not theta.is_bottom, "optimal value fell to bottom"
-    G = _scaled_outer_sum(s, -theta.value, vs, wpref[::-1])
+    G = _scaled_outer_sum(s, -theta.value, vs, ws)
     u_high = _kernels.to_payload_vec(-_kernels.vecmat(hc, G))
     return theta, TropMatrix._from_int_array(G), TropVector._from_payloads(u_high)
 
 
 def _rank_one_payload(prob, star):
     """(theta, G, u_high) computed on payloads, exact for every number type."""
-    B, p, q, g, h = prob.B, prob.p, prob.q, prob.g, prob.h
-    n = prob.n
-    hc = h.conj()
-    qc = q.conj()
+    B, p, g, n = prob.B, prob.p, prob.g, prob.n
+    hc, qc = prob.h.conj(), prob.q.conj()
     _check_box_gate((hc @ star) @ g)
-
-    vs = []  # B^i p   for i = 0..n-2
-    ws = []  # q~ B^j  for j = 0..n-2
-    cv, cw = p, qc
-    for _ in range(n - 1):
-        vs.append(cv)
-        ws.append(cw)
-        cv = B @ cv
-        cw = cw @ B
-
+    vs = _running_maxima(p, lambda v: B @ v, n - 2)
+    ws = _running_maxima(qc, lambda w: w @ B, n - 2)
+    iv, jw = _dominant_terms(n, len(vs) - 1, len(ws) - 1)
+    vs, ws = [vs[i] for i in iv], [ws[j] for j in jw]
     theta = (qc @ star) @ p
-    if vs:
-        a = [hc @ v for v in vs]
-        b = [w @ g for w in ws]
-        bpref = []
-        cur = BOTTOM
-        for val in b:
-            cur = cur + val
-            bpref.append(cur)
-        for i in range(n - 1):
-            theta = theta + a[i] * bpref[n - 2 - i]
+    for v, w in zip(vs, ws):
+        theta = theta + (hc @ v) * (w @ g)
     assert not theta.is_bottom, "optimal value fell to bottom"
-
-    wpref = []
-    cur = TropVector.zeros(n)
-    for w in ws:
-        cur = cur + w
-        wpref.append(cur)
-    G = _scaled_outer_sum(star, theta.inv(), vs, wpref[::-1])
+    G = _scaled_outer_sum(star, theta.inv(), vs, ws)
     return theta, G, (hc @ G).conj()
+
+
+def _running_maxima(x, step, cap):
+    """[x, x + step(x), ...] up to index cap, stopped before the first
+    repeat (see the module docstring)."""
+    out = [x]
+    for _ in range(cap):
+        nxt = out[-1] + step(out[-1])
+        if nxt == out[-1]:
+            break
+        out.append(nxt)
+    return out
+
+
+def _dominant_terms(n, dv, dw):
+    """Indices (iv, jw) of the chain terms V_i W_j that dominate the rest,
+    given the chains' last indices dv and dw (see the module docstring)."""
+    if n < 2:
+        return [], []
+    iv = list(range(max(0, n - 2 - dw), dv + 1))
+    return (iv, [n - 2 - i for i in iv]) if iv else ([dv], [dw])
 
 
 def solve_general(prob):

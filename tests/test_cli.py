@@ -114,6 +114,22 @@ class TestSolve:
         assert code == 0
         assert "optimum: 3.5" in capsys.readouterr().out
 
+    def test_float_overflow_is_exit_2(self, tmp_path, capsys):
+        # the makespan 1e308 + 1e308 overflows to inf in float arithmetic
+        path = tmp_path / "huge.inst"
+        path.write_text(
+            "activity a start-by=1e308 finish-by=1.7e308\n"
+            "activity b start-by=1.7e308 finish-by=1.7e308\n"
+            "start-finish a -> a lag=1e308\n"
+            "start-finish b -> b lag=1e308\n"
+            "start-start a -> b lag=1e308\n"
+        )
+        code = main(["solve", str(path), "--objective", "makespan", "--mode", "float"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: float arithmetic overflowed")
+        assert "--mode exact" in err
+
     def test_missing_file(self, capsys):
         assert main(["solve", "/nonexistent.inst", "--objective", "makespan"]) == 2
         assert "error: cannot read /nonexistent.inst" in capsys.readouterr().err

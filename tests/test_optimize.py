@@ -2,9 +2,11 @@
 
 import random
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import golden
 import randgen
@@ -24,7 +26,7 @@ from tropsched import (
     solve_makespan,
     solve_rank_one,
 )
-from tropsched import _kernels
+from tropsched import _kernels, optimize
 from tropsched.optimize import _rank_one_int64
 
 N = None
@@ -299,14 +301,15 @@ class TestStructuralInvariants:
                 assert family_contains(fam, x, prob.objective)
 
 
-def potential_problem(seed, n):
+def potential_problem(seed, n, *, spread=40):
     """A random integer rank-one problem that is always feasible.
 
     B[i][j] = pi[i] - pi[j] - slack with slack >= 0, so a cycle weighs
     minus its slacks and B* <= pi pi~; g <= pi <= h then gives h~ B* g <= 0.
+    The potentials pi lie in [-spread, spread].
     """
     rng = random.Random(seed)
-    pi = [rng.randint(-40, 40) for _ in range(n)]
+    pi = [rng.randint(-spread, spread) for _ in range(n)]
     B = TropMatrix(
         [
             [pi[i] - pi[j] - rng.randint(0, 6) if rng.random() < 0.3 else N
@@ -417,3 +420,203 @@ class TestInt64Path:
             p=e0, q=e0, B=drifted, g=TropVector.zeros(n), h=TropVector.ones(n)
         )
         assert _rank_one_int64(prob, drifted.star()) is not None
+
+
+def full_length_reference(prob):
+    """(theta, G, u_high) by the closed form with all n - 1 terms, written
+    plainly over TropVector: every B^i p with the prefix maximum of
+    q~ B^0 .. q~ B^(n-2-i), for i = 0..n-2."""
+    B, p, g, n = prob.B, prob.p, prob.g, prob.n
+    hc, qc = prob.h.conj(), prob.q.conj()
+    star = B.star()
+    vs, ws = [p], [qc]
+    for _ in range(n - 2):
+        vs.append(B @ vs[-1])
+        ws.append(ws[-1] @ B)
+    wpref = [ws[0]]
+    for w in ws[1:]:
+        wpref.append(wpref[-1] + w)
+    terms = [(vs[i], wpref[n - 2 - i]) for i in range(n - 1)]
+    theta = (qc @ star) @ p
+    for v, w in terms:
+        theta = theta + (hc @ v) * (w @ g)
+    G = star
+    for v, w in terms:
+        G = G + theta.inv() * outer(v, w)
+    return theta, G, (hc @ G).conj()
+
+
+def scaled(prob, conv):
+    """prob with every finite entry x replaced by conv(x)."""
+
+    def vec(v):
+        return TropVector([N if x is N else conv(x) for x in v._e])
+
+    return RankOneProblem(
+        p=vec(prob.p),
+        q=vec(prob.q),
+        B=TropMatrix([[N if x is N else conv(x) for x in r] for r in prob.B._rows]),
+        g=vec(prob.g),
+        h=vec(prob.h),
+    )
+
+
+def nonpositive_float_problem(seed, n):
+    """A feasible float problem whose sums round: B <= 0 has no positive
+    cycle, and g <= c <= h gives h~ B* g <= 0."""
+    rng = random.Random(seed)
+
+    def tenth(lo, hi, p_bottom=0.0):
+        return N if rng.random() < p_bottom else rng.randint(lo, hi) / 10
+
+    c = tenth(-50, 50)
+    p = [tenth(-30, 30, 0.3) for _ in range(n)]
+    q = [tenth(-30, 30, 0.3) for _ in range(n)]
+    p[0], q[0] = tenth(-30, 30), tenth(-30, 30)
+    return RankOneProblem(
+        p=TropVector(p),
+        q=TropVector(q),
+        B=TropMatrix([[tenth(-30, 0, 0.6) for _ in range(n)] for _ in range(n)]),
+        g=TropVector([c - tenth(0, 20) for _ in range(n)]),
+        h=TropVector([c + tenth(0, 20) for _ in range(n)]),
+    )
+
+
+@pytest.fixture
+def chain_terms(monkeypatch):
+    """Records (dv, dw, iv, jw) of every rank-one solve: the last indices
+    of the two running-maximum chains and the term indices kept."""
+    seen = []
+    pick = optimize._dominant_terms
+
+    def spy(n, dv, dw):
+        iv, jw = pick(n, dv, dw)
+        seen.append((dv, dw, iv, jw))
+        return iv, jw
+
+    monkeypatch.setattr(optimize, "_dominant_terms", spy)
+    return seen
+
+
+def matches_reference(prob):
+    fam = solve_rank_one(prob)
+    return (fam.theta, fam.G, fam.u_high) == full_length_reference(prob)
+
+
+class TestChainCut:
+    """Stopping the running-maximum chains and keeping only the dominant
+    terms must give exactly the full-length closed form."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(1, 19),
+        st.integers(0, 2**32),
+        st.sampled_from(["int", "fraction", "float"]),
+    )
+    def test_payload_parity(self, n, seed, kind):
+        if kind == "float":
+            prob = nonpositive_float_problem(seed, n)
+        else:
+            prob = potential_problem(seed, n)
+            if kind == "fraction":
+                prob = scaled(prob, lambda x: Fraction(x, 3))
+        # the payload solve itself: rounded float data can fail
+        # SolutionFamily's u_low <= u_high check, on either formula
+        got = optimize._rank_one_payload(prob, prob.B.star())
+        assert got == full_length_reference(prob)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(20, 45), st.integers(0, 2**32))
+    def test_int64_parity(self, n, seed):
+        prob = potential_problem(seed, n)
+        got = _rank_one_int64(prob, prob.B.star())
+        assert got == full_length_reference(prob)
+
+    @settings(
+        max_examples=15,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(st.integers(20, 45), st.integers(0, 2**32))
+    def test_int64_parity_with_drifted_bottoms(self, small_sentinels, n, seed):
+        # B is a kernel output whose bottoms sit anywhere between the
+        # sentinel and the cutoff
+        base = potential_problem(seed, n, spread=1)
+        rng = random.Random(seed)
+        arr = base.B._int_array().copy()
+        for i, j in zip(*(arr == _kernels.NEG).nonzero()):
+            arr[i, j] = rng.randint(_kernels.NEG, _kernels.BOTTOM_CUTOFF)
+        B = TropMatrix._from_int_array(arr)
+        prob = RankOneProblem(p=base.p, q=base.q, B=B, g=base.g, h=base.h)
+        assert _rank_one_int64(prob, B.star()) is not None
+        fam = solve_rank_one(prob)
+        plain = RankOneProblem(
+            p=base.p, q=base.q, B=TropMatrix(B._rows), g=base.g, h=base.h
+        )
+        assert (fam.theta, fam.G, fam.u_high) == full_length_reference(plain)
+
+    @pytest.mark.parametrize("n", [6, 24])
+    def test_period_two_orbit(self, n, chain_terms):
+        # zero-weight 2-cycles and no zero diagonal: B^2 p = p, so B^i p
+        # never repeats its predecessor, but the running maxima stop at
+        # once
+        rng = random.Random(n)
+        rows = [[N] * n for _ in range(n)]
+        for k in range(0, n, 2):
+            w = rng.randint(1, 9)
+            rows[k][k + 1], rows[k + 1][k] = w, -w
+        prob = RankOneProblem(
+            p=TropVector([rng.randint(-5, 5) for _ in range(n)]),
+            q=TropVector([rng.randint(-5, 5) for _ in range(n)]),
+            B=TropMatrix(rows),
+            g=TropVector.zeros(n),
+            h=TropVector.full(n, 100),
+        )
+        vs = [prob.p, prob.B @ prob.p, prob.B @ (prob.B @ prob.p)]
+        assert vs[2] == vs[0] != vs[1]
+        assert matches_reference(prob)
+        assert [t[:2] for t in chain_terms] == [(1, 1)]
+
+    @pytest.mark.parametrize("n", [7, 40])
+    def test_bare_path_runs_every_step(self, n, chain_terms):
+        # x_i >= x_(i-1) + 1: both chains rise at every step, so no term
+        # can be dropped
+        prob = RankOneProblem(
+            p=TropVector([0] + [N] * (n - 1)),
+            q=TropVector.ones(n),
+            B=TropMatrix(
+                [[1 if j == i - 1 else N for j in range(n)] for i in range(n)]
+            ),
+            g=TropVector.zeros(n),
+            h=TropVector.full(n, 10 * n),
+        )
+        assert matches_reference(prob)
+        assert chain_terms == [
+            (n - 2, n - 2, list(range(n - 1)), list(range(n - 2, -1, -1)))
+        ]
+
+    def test_unreached_bottoms_do_not_delay_the_stop(self, chain_terms):
+        # node 0 reaches nothing and nothing reaches it, while nodes 1..n-1
+        # form a chain of +5 lags; on arrays a bottom entry gains 5 per
+        # step along that chain, which must not count as a change
+        n = 24
+        e0 = TropVector([0] + [N] * (n - 1))
+        prob = RankOneProblem(
+            p=e0,
+            q=e0,
+            B=TropMatrix(
+                [[5 if j == i - 1 > 0 else N for j in range(n)] for i in range(n)]
+            ),
+            g=TropVector.zeros(n),
+            h=TropVector.ones(n),
+        )
+        assert _rank_one_int64(prob, prob.B.star()) is not None
+        assert matches_reference(prob)
+        assert chain_terms[-1][:2] == (0, 0)
+
+    def test_layered_instance_keeps_few_chain_rows(self, chain_terms):
+        n = 200
+        solve_makespan(randgen.layered_instance(random.Random(2), n))
+        [(dv, dw, iv, jw)] = chain_terms
+        assert max(dv, dw) + 1 < (n - 1) // 4
+        assert len(iv) == len(jw) < (n - 1) // 4
