@@ -18,6 +18,7 @@ from .semiring import (
     solve_leq,
 )
 from .optimize import (
+    EmptyBoxError,
     GeneralProblem,
     InfeasibleError,
     RankOneProblem,
@@ -67,6 +68,7 @@ __all__ = [
     "TropVector",
     "outer",
     "solve_leq",
+    "EmptyBoxError",
     "GeneralProblem",
     "InfeasibleError",
     "RankOneProblem",

@@ -18,6 +18,18 @@ maxima of B^i p and q~ B^j, i, j <= n - 2; it keeps only some) stay within
 (n - 1) M, theta within 2n M, an outer product term minus theta within
 (4n - 2) M, and h~ G within (4n - 1) M; a bottom drifts by at most the same
 sums.  `rank_one_fits` asks of 4n M what `paths_fit` asks of the path bound.
+
+Project networks are sparse, so `closure`, `positive_cycle_pivot` and
+`matmul` work only on finite entries while those are under a quarter of
+the work.  At pivot k the closure updates d[i][j] only for rows with a
+finite d[i][k] and columns with a finite d[k][j]; any other sum through k
+has a bottom term, is a bottom itself and so can raise no finite entry.
+The finite sums it does form are path sums, exact by `paths_fit`.  It
+writes only those sums, never a bottom plus a finite value, so it adds no
+drift: bottoms stay at the sentinel until a finite path reaches them.
+`matmul` skips the bottom entries of each row of a for the same reason.
+Above that share a kernel takes the dense slice update, whose drift the
+bounds above cover; the worst case stays O(n^3).
 """
 
 from __future__ import annotations
@@ -28,6 +40,10 @@ import importlib.util
 NEG = -(1 << 62)
 MAG_CAP = 1 << 50
 BOTTOM_CUTOFF = -(1 << 61)
+# a kernel gathers finite entries while they are under 1/4 of the work:
+# near where a gathered closure pivot costs as much as a dense one (1/5 to
+# 1/4 at n = 400); a product row gathers profitably up to about 1/2
+_DENSE_SHARE = 4
 
 
 class _LazyNumpy:
@@ -95,10 +111,23 @@ def to_payload_vec(arr):
     return tuple(None if x <= BOTTOM_CUTOFF else x for x in arr.tolist())
 
 
+def _sparse(count, size):
+    """True when `count` finite entries out of `size` are few enough that
+    gathering them beats a dense slice."""
+    return count * _DENSE_SHARE < size
+
+
 def matmul(a, b):
+    """a b, each row of `a` taking only its finite entries when sparse."""
     out = np.empty((a.shape[0], b.shape[1]), dtype=np.int64)
+    k = a.shape[1]
+    finite = a > BOTTOM_CUTOFF
     for i in range(a.shape[0]):
-        np.max(a[i, :, None] + b, axis=0, out=out[i], initial=NEG)
+        idx = finite[i].nonzero()[0]
+        if _sparse(idx.size, k):
+            np.max(a[i, idx, None] + b[idx], axis=0, out=out[i], initial=NEG)
+        else:
+            np.max(a[i, :, None] + b, axis=0, out=out[i], initial=NEG)
     return out
 
 
@@ -110,10 +139,15 @@ def vecmat(v, a):
     return np.max(v[:, None] + a, axis=0, initial=NEG)
 
 
+def _magnitude(a):
+    """Largest finite magnitude in `a`."""
+    return int(np.abs(a[a > BOTTOM_CUTOFF]).max(initial=0))
+
+
 def _span_fits(k, *arrays):
     """True when k times the largest finite magnitude in `arrays` stays
     above the cutoff, and the sentinel plus it at or below."""
-    span = k * max(int(np.abs(a[a > BOTTOM_CUTOFF]).max(initial=0)) for a in arrays)
+    span = k * max(_magnitude(a) for a in arrays)
     return span < -BOTTOM_CUTOFF and NEG + span <= BOTTOM_CUTOFF
 
 
@@ -132,13 +166,33 @@ def _reset_bottom(a):
     return np.where(a > BOTTOM_CUTOFF, a, NEG)
 
 
+def _pivot_support(d, k):
+    """Rows i with a finite d[i][k] and columns j with a finite d[k][j]."""
+    return (
+        (d[:, k] > BOTTOM_CUTOFF).nonzero()[0],
+        (d[k] > BOTTOM_CUTOFF).nonzero()[0],
+    )
+
+
+def max_product(b, d, c):
+    """b max d c with bottoms at the sentinel, as `from_payload_rows` gives
+    it; None when an entry exceeds MAG_CAP, which that conversion refuses."""
+    r = _reset_bottom(np.maximum(b, matmul(d, c)))
+    return r if _magnitude(r) <= MAG_CAP else None
+
+
 def closure(a):
     """Floyd-Warshall transitive closure A+ (max-plus), input left intact."""
     d = _reset_bottom(a)
     n = d.shape[0]
     for k in range(n):
-        np.maximum(d, d[:, k, None] + d[None, k, :], out=d)
-        np.maximum(d, NEG, out=d)
+        rows, cols = _pivot_support(d, k)
+        if _sparse(rows.size * cols.size, n * n):
+            block = np.ix_(rows, cols)
+            d[block] = np.maximum(d[block], d[rows, k, None] + d[k, cols])
+        else:
+            np.maximum(d, d[:, k, None] + d[None, k, :], out=d)
+            np.maximum(d, NEG, out=d)
     return d
 
 
@@ -154,13 +208,23 @@ def positive_cycle_pivot(a):
     n = d.shape[0]
     succ = np.broadcast_to(np.arange(n), (n, n)).copy()
     for k in range(n):
-        through = d[:, k, None] + d[None, k, :]
-        hits = (through.diagonal() > 0).nonzero()[0]
+        hits = (d[:, k] + d[k] > 0).nonzero()[0]
         if hits.size:
             return int(hits[0]), k, succ
-        better = through > d
-        np.copyto(d, through, where=better)
-        np.copyto(succ, succ[:, k, None], where=better)
+        rows, cols = _pivot_support(d, k)
+        if _sparse(rows.size * cols.size, n * n):
+            block = np.ix_(rows, cols)
+            sub, via = d[block], succ[block]
+            through = d[rows, k, None] + d[k, cols]
+            better = through > sub
+            np.copyto(sub, through, where=better)
+            np.copyto(via, succ[rows, k, None], where=better)
+            d[block], succ[block] = sub, via
+        else:
+            through = d[:, k, None] + d[None, k, :]
+            better = through > d
+            np.copyto(d, through, where=better)
+            np.copyto(succ, succ[:, k, None], where=better)
     return None
 
 

@@ -23,7 +23,7 @@ from .documents import (
     result_from_json,
     result_to_json,
 )
-from .optimize import InfeasibleError
+from .optimize import EmptyBoxError, InfeasibleError
 from .semiring import TropVector
 from .scheduling import (
     Schedule,
@@ -108,7 +108,15 @@ def cmd_solve(args):
     doc = _load(args.instance, args.mode)
     inst = doc.instance
     solver = solve_makespan if args.objective == "makespan" else solve_deviation
-    fam = solver(inst)
+    try:
+        fam = solver(inst)
+    except EmptyBoxError as e:
+        if args.mode != "float":
+            raise
+        raise CliError(
+            "float rounding left the parameter box empty (u_low exceeds"
+            " u_high); use --mode exact"
+        ) from e
 
     try:
         high = extract_schedule(fam, fam.u_high)

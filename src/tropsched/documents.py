@@ -206,9 +206,9 @@ def parse_instance(text, *, mode="exact", diagonal_one=True):
                 b[i][i] = 0
 
     inst = ProjectInstance(
-        start_start=TropMatrix(grids["start-start"]),
-        start_finish=TropMatrix(grids["start-finish"]),
-        finish_start=TropMatrix(grids["finish-start"]),
+        start_start=TropMatrix._from_rows(grids["start-start"]),
+        start_finish=TropMatrix._from_rows(grids["start-finish"]),
+        finish_start=TropMatrix._from_rows(grids["finish-start"]),
         release=TropVector(a.get("release") for a in acts),
         start_deadline=TropVector(a["start-by"] for a in acts),
         finish_deadline=TropVector(a["finish-by"] for a in acts),

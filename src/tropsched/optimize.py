@@ -36,6 +36,7 @@ from .semiring import (
 
 __all__ = [
     "InfeasibleError",
+    "EmptyBoxError",
     "RankOneProblem",
     "GeneralProblem",
     "SolutionFamily",
@@ -58,6 +59,14 @@ class InfeasibleError(ValueError):
         super().__init__(message)
         self.kind = kind
         self.cycle = cycle
+
+
+class EmptyBoxError(ValueError):
+    """A solution family whose parameter box is empty: u_low exceeds u_high.
+
+    Exact data passes the box gate h~ B* g <= 0 only when u_low <= u_high,
+    so this comes from float rounding (or from a family built by hand).
+    """
 
 
 def _square_dim(mat, name):
@@ -147,7 +156,7 @@ class SolutionFamily:
 
     def __post_init__(self):
         if not (self.u_low <= self.u_high):
-            raise ValueError("inconsistent bounds: u_low exceeds u_high")
+            raise EmptyBoxError("inconsistent bounds: u_low exceeds u_high")
 
     @property
     def n(self):

@@ -130,6 +130,30 @@ class TestSolve:
         assert err.startswith("error: float arithmetic overflowed")
         assert "--mode exact" in err
 
+    def test_float_rounding_empty_box_is_exit_2(self, tmp_path, capsys):
+        # one-decimal data whose rounded sums leave u_high[0] just below
+        # u_low[0]; exact arithmetic solves it
+        path = tmp_path / "rounding.inst"
+        path.write_text(
+            "activity a0 release=0.1 start-by=0.2 finish-by=6.2\n"
+            "activity a1 release=0.9 start-by=6.5 finish-by=8.0\n"
+            "activity a2 release=0.0 start-by=3.2 finish-by=8.2\n"
+            "activity a3 release=0.5 start-by=2.0 finish-by=4.7\n"
+            "start-finish a0 -> a0 lag=2.4\n"
+            "start-finish a1 -> a1 lag=1.9\n"
+            "start-finish a2 -> a2 lag=2.5\n"
+            "start-finish a3 -> a3 lag=0.4\n"
+            "start-start a0 -> a3 lag=-1.6\n"
+            "start-start a3 -> a2 lag=-0.2\n"
+        )
+        code = main(["solve", str(path), "--objective", "makespan", "--mode", "float"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: float rounding left the parameter box empty")
+        assert "--mode exact" in err
+        assert main(["solve", str(path), "--objective", "makespan"]) == 0
+        assert "optimum: 13/5" in capsys.readouterr().out
+
     def test_missing_file(self, capsys):
         assert main(["solve", "/nonexistent.inst", "--objective", "makespan"]) == 2
         assert "error: cannot read /nonexistent.inst" in capsys.readouterr().err

@@ -91,6 +91,27 @@ class TestParseInstance:
         assert doc.instance.release[0].value == 10.0
         assert type(doc.instance.start_deadline[0].value) is float
 
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_matrices_hold_normalized_payloads(self, mode):
+        # the parser builds its matrices without a second normalization
+        # pass, so each entry must already be what that pass would give
+        doc = parse_instance(
+            "activity a start-by=9 finish-by=20\n"
+            "activity b start-by=9 finish-by=20\n"
+            "start-finish a -> a lag=3.0\n"
+            "start-finish b -> b lag=3.5\n"
+            "start-start a -> b lag=-2.0\n"
+            "finish-start b -> a lag=0.5\n",
+            mode=mode,
+        )
+        inst = doc.instance
+        for m in (inst.start_start, inst.start_finish, inst.finish_start):
+            again = TropMatrix(m._rows)._rows
+            assert m._rows == again
+            assert [list(map(type, r)) for r in m._rows] == [
+                list(map(type, r)) for r in again
+            ]
+
     def test_bad_mode(self):
         with pytest.raises(ValueError, match="mode"):
             parse_instance(MINIMAL, mode="decimal")

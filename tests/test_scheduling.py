@@ -3,7 +3,9 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import golden
 import randgen
@@ -23,6 +25,8 @@ from tropsched import (
     solve_makespan,
     verify_schedule,
 )
+from tropsched import _kernels
+from tropsched.semiring import _MISSING, _mul_rows
 
 N = None
 
@@ -50,6 +54,83 @@ class TestReduction:
         g = inst.release
         assert ((s.conj() @ R.star()) @ g) == TropScalar(golden.GATE)
         assert s.conj().norm() == TropScalar(golden.S_CONJ_NORM)
+
+
+def payload_reduction(inst):
+    """R = B + D C on payloads alone."""
+    dc = TropMatrix._from_rows(
+        _mul_rows(inst.finish_start._rows, inst.start_finish._rows)
+    )
+    return inst.start_start + dc
+
+
+def solve_without_kernels(build, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(_kernels, "available", lambda: False)
+        fam = solve_makespan(build())
+    return fam.theta, fam.G, fam.u_high
+
+
+class TestReduceOnArrays:
+    """An integer instance of at least 20 activities is reduced on int64
+    arrays; the array must be the one the payload result converts to."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32), st.sampled_from(["random", "layered"]))
+    def test_parity_with_payload_path(self, seed, kind):
+        rng = random.Random(seed)
+        if kind == "random":
+            inst = randgen.rand_instance(rng, nmin=20, nmax=45)
+        else:
+            inst = randgen.layered_instance(rng, rng.randint(20, 60))
+        R, _ = reduce_instance(inst)
+        want = payload_reduction(inst)
+        assert R._intcache is not _MISSING
+        assert np.array_equal(R._intcache, _kernels.from_payload_rows(want._rows))
+        assert R == want
+
+    def test_small_instances_stay_on_payloads(self):
+        inst = randgen.rand_instance(random.Random(3), nmin=19, nmax=19)
+        R, _ = reduce_instance(inst)
+        assert R._intcache is _MISSING
+        assert R == payload_reduction(inst)
+
+    def test_entry_past_the_cap_takes_the_payload_path(self, monkeypatch):
+        # every input entry converts, but one D C sum exceeds MAG_CAP
+        def build():
+            inst = randgen.layered_instance(random.Random(9), 30)
+            d = [list(row) for row in inst.finish_start._rows]
+            c = [list(row) for row in inst.start_finish._rows]
+            d[29][3] = c[3][3] = _kernels.MAG_CAP
+            return ProjectInstance(
+                start_start=inst.start_start,
+                start_finish=TropMatrix(c),
+                finish_start=TropMatrix(d),
+                release=inst.release,
+                start_deadline=TropVector.full(30, 4 * _kernels.MAG_CAP),
+                finish_deadline=TropVector.full(30, 5 * _kernels.MAG_CAP),
+            )
+
+        inst = build()
+        assert inst.finish_start._int_array() is not None
+        R, _ = reduce_instance(inst)
+        assert R._intcache is _MISSING
+        assert R[29, 3] == TropScalar(2 * _kernels.MAG_CAP)
+        assert R == payload_reduction(inst)
+        fam = solve_makespan(build())
+        assert (fam.theta, fam.G, fam.u_high) == solve_without_kernels(
+            build, monkeypatch
+        )
+
+    def test_solve_matches_the_payload_solve(self, monkeypatch):
+        def build():
+            return randgen.layered_instance(random.Random(4), 40)
+
+        fam = solve_makespan(build())
+        assert fam.R._intcache is not _MISSING
+        assert (fam.theta, fam.G, fam.u_high) == solve_without_kernels(
+            build, monkeypatch
+        )
 
 
 class TestMakespan:

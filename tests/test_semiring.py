@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import golden
 from tropsched import (
@@ -18,7 +19,12 @@ from tropsched import (
     solve_leq,
 )
 from tropsched import _kernels
-from tropsched.semiring import _closure_rows, _mul_rows
+from tropsched.semiring import (
+    _closure_rows,
+    _mul_rows,
+    _successor_path,
+    _trim_to_positive_cycle,
+)
 
 N = None
 
@@ -497,3 +503,146 @@ class TestFastKernelParity:
         sq = a @ a
         assert sq[0, 0] == TropScalar(1)
         assert sq[1, 0] == TropScalar(Fraction(3, 2))
+
+
+# Dense reference kernels: every pivot and every row does full n x n (or
+# k x n) work, with no support restriction.
+
+
+def dense_matmul(a, b):
+    out = np.empty((a.shape[0], b.shape[1]), dtype=np.int64)
+    for i in range(a.shape[0]):
+        np.max(a[i, :, None] + b, axis=0, out=out[i], initial=_kernels.NEG)
+    return out
+
+
+def dense_closure(a):
+    d = np.where(a > _kernels.BOTTOM_CUTOFF, a, _kernels.NEG)
+    for k in range(d.shape[0]):
+        np.maximum(d, d[:, k, None] + d[None, k, :], out=d)
+        np.maximum(d, _kernels.NEG, out=d)
+    return d
+
+
+def dense_positive_cycle_pivot(a):
+    d = np.where(a > _kernels.BOTTOM_CUTOFF, a, _kernels.NEG)
+    n = d.shape[0]
+    succ = np.broadcast_to(np.arange(n), (n, n)).copy()
+    for k in range(n):
+        through = d[:, k, None] + d[None, k, :]
+        hits = (through.diagonal() > 0).nonzero()[0]
+        if hits.size:
+            return int(hits[0]), k, succ
+        better = through > d
+        np.copyto(d, through, where=better)
+        np.copyto(succ, succ[:, k, None], where=better)
+    return None
+
+
+def rand_array(seed, shape, share, lo, hi, drift=False):
+    """int64 matrix with about `share` finite entries in [lo, hi]; with
+    `drift`, its bottoms sit anywhere in the lower half of the range
+    between the sentinel and the cutoff, as in a kernel output whose
+    further sums the admission bounds keep below the cutoff."""
+    rng = np.random.default_rng(seed)
+    arr = rng.integers(lo, hi, size=shape, endpoint=True)
+    bottom = rng.random(shape) >= share
+    if drift:
+        top = (_kernels.NEG + _kernels.BOTTOM_CUTOFF) // 2
+        arr[bottom] = rng.integers(_kernels.NEG, top, size=shape)[bottom]
+    else:
+        arr[bottom] = _kernels.NEG
+    return arr
+
+
+def payloads(arr):
+    return _kernels.to_payload_rows(arr)
+
+
+def witness_walk(hit, n):
+    i, k, succ = hit
+    return _successor_path(succ, i, k, n) + _successor_path(succ, k, i, n)[1:]
+
+
+# finite shares: project-network sparse, mixed, and fully dense
+SHARES = st.sampled_from([0.02, 0.05, 0.1, 0.3, 0.6, 1.0])
+SEEDS = st.integers(0, 2**32)
+
+
+class TestSparseKernelParity:
+    """The support-restricted kernels must agree with the dense ones: the
+    same finite entries, bottoms in the same places, the same pivot and
+    the same witness walk."""
+
+    def _closure(self, n, share, seed, drift=False):
+        # nonpositive weights: no positive cycle, so the closure is defined
+        a = rand_array(seed, (n, n), share, -9, 0, drift)
+        assert payloads(_kernels.closure(a)) == payloads(dense_closure(a))
+
+    def _matmul(self, m, k, n, share, seed, drift=False):
+        a = rand_array(seed, (m, k), share, -9, 9, drift)
+        b = rand_array(seed + 1, (k, n), share, -9, 9, drift)
+        assert payloads(_kernels.matmul(a, b)) == payloads(dense_matmul(a, b))
+
+    def _pivot(self, n, share, seed, drift=False):
+        a = rand_array(seed, (n, n), share, -9, 2, drift)
+        np.fill_diagonal(a, _kernels.NEG)
+        got, want = _kernels.positive_cycle_pivot(a), dense_positive_cycle_pivot(a)
+        if want is None:
+            assert got is None
+            return
+        assert got[:2] == want[:2]
+        walk = witness_walk(got, n)
+        assert walk == witness_walk(want, n)
+        rows = payloads(a)
+        cycle, weight = _trim_to_positive_cycle(rows, walk)
+        assert weight > 0 and len(set(cycle)) == len(cycle)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 60), SHARES, SEEDS)
+    def test_closure(self, n, share, seed):
+        self._closure(n, share, seed)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 40), st.integers(1, 40), SHARES, SEEDS)
+    def test_matmul(self, m, k, n, share, seed):
+        self._matmul(m, k, n, share, seed)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 60), SHARES, SEEDS)
+    def test_positive_cycle_pivot(self, n, share, seed):
+        self._pivot(n, share, seed)
+
+    @settings(
+        max_examples=30,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(st.integers(2, 60), SHARES, SEEDS)
+    def test_drifted_bottoms(self, small_sentinels, n, share, seed):
+        self._closure(n, share, seed, drift=True)
+        self._matmul(n, n, n, share, seed, drift=True)
+        self._pivot(n, share, seed, drift=True)
+
+    def test_restricted_closure_adds_no_drift(self, small_sentinels):
+        # three disjoint blocks: every pivot's support is at most a ninth
+        # of the matrix, so no pivot takes the dense update, and the
+        # drifted input bottoms come back at the sentinel
+        n = 30
+        a = rand_array(5, (n, n), 0.0, 0, 0, drift=True)
+        for lo in range(0, n, 10):
+            a[lo:lo + 10, lo:lo + 10] = rand_array(6 + lo, (10, 10), 0.7, -9, 0)
+        d = _kernels.closure(a)
+        assert ((d > _kernels.BOTTOM_CUTOFF) | (d == _kernels.NEG)).all()
+        assert payloads(d) == payloads(dense_closure(a))
+
+    def test_long_path_through_sparse_pivots(self):
+        # a bare path: pivot k joins k rows to n - k columns, so the first
+        # and last pivots are restricted and the middle ones dense
+        n = 40
+        a = np.full((n, n), _kernels.NEG, dtype=np.int64)
+        for i in range(n - 1):
+            a[i, i + 1] = -(i + 1)
+        d = _kernels.closure(a)
+        assert d[0, n - 1] == -sum(range(1, n))
+        assert payloads(d) == payloads(dense_closure(a))
