@@ -30,6 +30,10 @@ drift: bottoms stay at the sentinel until a finite path reaches them.
 `matmul` skips the bottom entries of each row of a for the same reason.
 Above that share a kernel takes the dense slice update, whose drift the
 bounds above cover; the worst case stays O(n^3).
+
+`json_rows` encodes an array for the result document through a token
+table: one JSON token per distinct value (null at or below the cutoff),
+indexed by `np.unique`'s inverse, so no entry is boxed into a payload.
 """
 
 from __future__ import annotations
@@ -88,6 +92,19 @@ def from_payload_rows(rows):
     return np.array(flat, dtype=np.int64).reshape(m, n)
 
 
+def from_entries(shape, entries):
+    """int64 array of `shape` holding the finite `(row, col, value)` entries
+    and bottoms elsewhere: what `from_payload_rows` gives for the rows they
+    describe, None included."""
+    if not all(type(v) is int and -MAG_CAP <= v <= MAG_CAP for _, _, v in entries):
+        return None
+    out = np.full(shape, NEG, dtype=np.int64)
+    if entries:
+        rows, cols, values = zip(*entries)
+        out[rows, cols] = values
+    return out
+
+
 def from_payload_vec(entries):
     out = np.empty(len(entries), dtype=np.int64)
     for i, v in enumerate(entries):
@@ -109,6 +126,17 @@ def to_payload_rows(arr):
 
 def to_payload_vec(arr):
     return tuple(None if x <= BOTTOM_CUTOFF else x for x in arr.tolist())
+
+
+def json_rows(arr):
+    """The rows of `arr` as lists of JSON tokens: null for a bottom, a
+    quoted integer otherwise, as the exact result document writes them."""
+    values, inverse = np.unique(arr, return_inverse=True)
+    tokens = np.array(
+        ["null" if v <= BOTTOM_CUTOFF else '"%d"' % v for v in values.tolist()],
+        dtype=object,
+    )
+    return tokens[inverse.reshape(arr.shape)].tolist()
 
 
 def _sparse(count, size):

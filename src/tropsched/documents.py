@@ -24,11 +24,13 @@ The start-start diagonal defaults to the identity lag 0.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import _kernels
 from .scheduling import ProjectInstance, Schedule, Violation
 from .semiring import BOTTOM, ONE, TropMatrix, TropScalar, TropVector
 
@@ -71,6 +73,8 @@ def _parse_number(tok, mode, line):
                 else ""
             )
             raise InstanceFormatError(f"bad number {tok!r}{hint}", line=line)
+        if "." not in tok and "/" not in tok:
+            return int(tok)
         try:
             return Fraction(tok)
         except ZeroDivisionError:
@@ -178,6 +182,8 @@ def parse_instance(text, *, mode="exact", diagonal_one=True):
         raise InstanceFormatError("no activities defined")
     n = len(names)
     grids = {kind: [[None] * n for _ in range(n)] for kind in _KINDS}
+    # the finite entries of each grid, for TropMatrix._int_array
+    finite = {kind: [] for kind in _KINDS}
     seen = set()
     for kind, src, dst, lag, ln in raw_cons:
         for nm in (src, dst):
@@ -190,25 +196,32 @@ def parse_instance(text, *, mode="exact", diagonal_one=True):
             )
         seen.add(key)
         # "src -> dst" bounds dst from src: row dst, column src
-        grids[kind][index[dst]][index[src]] = TropScalar(lag).value
+        i, j, v = index[dst], index[src], TropScalar(lag).value
+        grids[kind][i][j] = v
+        finite[kind].append((i, j, v))
 
-    for j in range(n):
-        if all(grids["start-finish"][i][j] is None for i in range(n)):
+    sf_sources = {j for _, j, _ in finite["start-finish"]}
+    for j, name in enumerate(names):
+        if j not in sf_sources:
             raise InstanceFormatError(
-                f"activity {names[j]!r} is on the start side of no start-finish"
+                f"activity {name!r} is on the start side of no start-finish"
                 f" constraint; add its duration, e.g."
-                f" 'start-finish {names[j]} -> {names[j]} lag=<duration>'"
+                f" 'start-finish {name} -> {name} lag=<duration>'"
             )
     if diagonal_one:
         b = grids["start-start"]
         for i in range(n):
             if b[i][i] is None:
                 b[i][i] = 0
+                finite["start-start"].append((i, i, 0))
+
+    def matrix(kind):
+        return TropMatrix._from_rows(grids[kind], finite[kind])
 
     inst = ProjectInstance(
-        start_start=TropMatrix._from_rows(grids["start-start"]),
-        start_finish=TropMatrix._from_rows(grids["start-finish"]),
-        finish_start=TropMatrix._from_rows(grids["finish-start"]),
+        start_start=matrix("start-start"),
+        start_finish=matrix("start-finish"),
+        finish_start=matrix("finish-start"),
         release=TropVector(a.get("release") for a in acts),
         start_deadline=TropVector(a["start-by"] for a in acts),
         finish_deadline=TropVector(a["finish-by"] for a in acts),
@@ -411,7 +424,64 @@ def _violations_from_json(obj):
     )
 
 
+def _generator_json(g):
+    """The generator's rows; an int64 generator is encoded from its array,
+    never boxed into payload rows."""
+    arr = g._held_int_array()
+    if arr is None:
+        return [_vector_json(row) for row in g._rows]
+    return [_Tokens(row) for row in _kernels.json_rows(arr)]
+
+
+_INDENT = "  "
+
+
+class _Tokens(list):
+    """A flat JSON list whose entries are already encoded."""
+
+
+@functools.cache
+def _flat_encoder(depth):
+    """The C encoder, separating the entries of a flat list at `depth` as
+    the indented encoder does."""
+    return json.JSONEncoder(separators=(",\n" + _INDENT * depth, ": "))
+
+
+def _write(obj, depth, out):
+    """Append the text `json.dumps(obj, indent=2)` gives for `obj` at
+    nesting `depth`.  That call takes the pure-Python encoder; here each
+    flat list is encoded by the C encoder in one call, and the leaves come
+    out the same, so the bytes match."""
+    if not isinstance(obj, (dict, list)):
+        out.append(json.dumps(obj))
+        return
+    if not obj:
+        out.append("{}" if isinstance(obj, dict) else "[]")
+        return
+    inner = "\n" + _INDENT * (depth + 1)
+    close = "\n" + _INDENT * depth
+    if isinstance(obj, dict):
+        entries = [(json.dumps(key) + ": ", value) for key, value in obj.items()]
+        brackets = "{}"
+    elif type(obj) is _Tokens:
+        out.append("[" + inner + ("," + inner).join(obj) + close + "]")
+        return
+    elif any(isinstance(v, (dict, list)) for v in obj):
+        entries = [("", value) for value in obj]
+        brackets = "[]"
+    else:
+        body = _flat_encoder(depth + 1).encode(obj)[1:-1]
+        out.append("[" + inner + body + close + "]")
+        return
+    out.append(brackets[0])
+    for i, (key, value) in enumerate(entries):
+        out.append(("," if i else "") + inner + key)
+        _write(value, depth + 1, out)
+    out.append(close + brackets[1])
+
+
 def result_to_json(doc):
+    """The result document as 2-space-indented JSON, one entry per line."""
     obj = {
         "format": RESULT_FORMAT,
         "objective": doc.objective,
@@ -420,7 +490,7 @@ def result_to_json(doc):
         "unit": doc.unit,
         "activities": list(doc.names),
         "theta": _scalar_json(doc.theta),
-        "generator": [_vector_json(row) for row in doc.generator._rows],
+        "generator": _generator_json(doc.generator),
         "u_low": _vector_json(doc.u_low._e),
         "u_high": _vector_json(doc.u_high._e),
         "schedules": {
@@ -433,7 +503,10 @@ def result_to_json(doc):
             "high": _violations_json(doc.violations_high),
         },
     }
-    return json.dumps(obj, indent=2) + "\n"
+    out = []
+    _write(obj, 0, out)
+    out.append("\n")
+    return "".join(out)
 
 
 def result_from_json(text):

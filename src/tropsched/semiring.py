@@ -367,10 +367,11 @@ class TropMatrix:
     """Dense max-plus matrix stored row-major as immutable payload tuples.
 
     A matrix made by a kernel holds its int64 array and boxes it into
-    payload rows only when they are first read.
+    payload rows only when they are first read.  A matrix made with a list
+    of its finite entries builds its int64 array from that list.
     """
 
-    __slots__ = ("_rowcache", "_nrows", "_ncols", "_intcache")
+    __slots__ = ("_rowcache", "_nrows", "_ncols", "_intcache", "_finite")
 
     def __init__(self, rows):
         self._rowcache = tuple(
@@ -382,14 +383,18 @@ class TropMatrix:
             if len(row) != self._ncols:
                 raise ValueError("rows have unequal lengths")
         self._intcache = _MISSING
+        self._finite = None
 
     @classmethod
-    def _from_rows(cls, rows):
+    def _from_rows(cls, rows, finite=None):
+        """Matrix over normalized payload rows; `finite`, when given, lists
+        every finite entry as `(row, col, payload)`."""
         m = cls.__new__(cls)
         m._rowcache = tuple(tuple(r) for r in rows)
         m._nrows = len(m._rowcache)
         m._ncols = len(m._rowcache[0]) if m._rowcache else 0
         m._intcache = _MISSING
+        m._finite = finite
         return m
 
     @classmethod
@@ -399,6 +404,7 @@ class TropMatrix:
         m._rowcache = None
         m._nrows, m._ncols = arr.shape
         m._intcache = arr
+        m._finite = None
         return m
 
     @property
@@ -430,11 +436,19 @@ class TropMatrix:
 
     def _int_array(self):
         if self._intcache is _MISSING:
-            if _kernels.available():
-                self._intcache = _kernels.from_payload_rows(self._rows)
-            else:
+            if not _kernels.available():
                 self._intcache = None
+            elif self._finite is not None:
+                self._intcache = _kernels.from_entries(self.shape, self._finite)
+            else:
+                self._intcache = _kernels.from_payload_rows(self._rows)
         return self._intcache
+
+    def _held_int_array(self):
+        """The int64 array if the matrix already has one, else None; never
+        converts."""
+        arr = self._intcache
+        return None if arr is _MISSING else arr
 
     @property
     def shape(self):
@@ -447,10 +461,7 @@ class TropMatrix:
     @property
     def is_column_regular(self):
         """True when every column holds at least one finite entry."""
-        return all(
-            any(row[j] is not None for row in self._rows)
-            for j in range(self._ncols)
-        )
+        return all(col.count(None) < self._nrows for col in zip(*self._rows))
 
     def row(self, i):
         return TropVector._from_payloads(self._rows[i])

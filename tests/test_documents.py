@@ -1,18 +1,25 @@
 """Instance and schedule text formats plus the result JSON round trip."""
 
+import dataclasses
 import json
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import golden
+import randgen
 from tropsched import (
+    InstanceDocument,
     InstanceFormatError,
     ResultDocument,
     Schedule,
     TropMatrix,
     TropScalar,
     TropVector,
+    Violation,
     extract_schedule,
     load_instance,
     parse_instance,
@@ -23,6 +30,8 @@ from tropsched import (
     serialize_schedule,
     solve_makespan,
 )
+from tropsched import _kernels
+from tropsched.cli import main
 
 N = None
 
@@ -112,9 +121,81 @@ class TestParseInstance:
                 list(map(type, r)) for r in again
             ]
 
+    @given(
+        st.integers(-(10**30), 10**30),
+        st.sampled_from(["", "+", "0", "00"]),
+    )
+    def test_integer_tokens_parse_to_exact_ints(self, k, prefix):
+        tok = (prefix if k >= 0 else "-" + prefix.lstrip("+")) + str(abs(k))
+        doc = parse_instance(
+            f"activity a release={tok} start-by={tok} finish-by=9\n"
+            f"start-finish a -> a lag={tok}\n"
+        )
+        inst = doc.instance
+        for value in (inst.release[0].value, inst.start_finish[0, 0].value):
+            assert value == Fraction(tok) and type(value) is int
+
     def test_bad_mode(self):
         with pytest.raises(ValueError, match="mode"):
             parse_instance(MINIMAL, mode="decimal")
+
+
+class TestParsedIntArrays:
+    """The parser records each matrix's finite entries; its int64 array is
+    built from them and must be the one its payload rows convert to."""
+
+    @staticmethod
+    def _reparse(inst, **kw):
+        names = tuple(f"t{i}" for i in range(inst.n))
+        text = serialize_instance(InstanceDocument(names=names, instance=inst))
+        return parse_instance(text, **kw).instance
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(0, 2**32),
+        st.sampled_from(["random", "layered"]),
+        st.booleans(),
+    )
+    def test_array_equals_the_payload_conversion(self, seed, kind, diagonal_one):
+        rng = random.Random(seed)
+        if kind == "random":
+            inst = randgen.rand_instance(rng, nmin=1, nmax=30)
+        else:
+            inst = randgen.layered_instance(rng, rng.randint(1, 60))
+        parsed = self._reparse(inst, diagonal_one=diagonal_one)
+        for m in (parsed.start_start, parsed.start_finish, parsed.finish_start):
+            assert m._finite is not None
+            assert np.array_equal(
+                m._int_array(), _kernels.from_payload_rows(m._rows)
+            )
+
+    @pytest.mark.parametrize(
+        "lag, converts",
+        [
+            ("5/2", False),
+            (str(_kernels.MAG_CAP), True),
+            (str(-_kernels.MAG_CAP), True),
+            (str(_kernels.MAG_CAP + 1), False),
+            (str(-_kernels.MAG_CAP - 1), False),
+        ],
+    )
+    def test_refused_entries(self, lag, converts):
+        doc = parse_instance(
+            "activity a start-by=9 finish-by=20\n"
+            "activity b start-by=9 finish-by=20\n"
+            "start-finish a -> a lag=3\n"
+            "start-finish b -> b lag=3\n"
+            f"start-start a -> b lag={lag}\n"
+        )
+        b = doc.instance.start_start
+        want = _kernels.from_payload_rows(b._rows)
+        assert (want is not None) is converts
+        got = b._int_array()
+        assert got is None if want is None else np.array_equal(got, want)
+
+    def test_float_mode_does_not_convert(self):
+        doc = parse_instance(MINIMAL, mode="float")
+        assert doc.instance.start_finish._int_array() is None
 
 
 class TestParseErrors:
@@ -181,6 +262,24 @@ class TestParseErrors:
         assert "is on the start side of no start-finish constraint" in str(e)
         assert "add its duration" in str(e)
         assert "start-finish a -> a lag=<duration>" in str(e)
+
+    def test_first_activity_without_a_duration_is_named(self):
+        # c is the target of a start-finish constraint, not its start side
+        e = self._err(
+            "activity c start-by=1 finish-by=2\n"
+            "activity a start-by=1 finish-by=2\n"
+            "activity b start-by=1 finish-by=2\n"
+            "start-finish a -> c lag=1\n"
+        )
+        assert "activity 'c' is on the start side of no start-finish" in str(e)
+        e = self._err(
+            "activity a start-by=1 finish-by=2\n"
+            "activity b start-by=1 finish-by=2\n"
+            "activity c start-by=1 finish-by=2\n"
+            "start-finish a -> a lag=1\n"
+            "start-finish c -> c lag=1\n"
+        )
+        assert "'start-finish b -> b lag=<duration>'" in str(e)
 
 
 class TestLoadInstance:
@@ -374,3 +473,243 @@ class TestResultJson:
         cut(obj)
         with pytest.raises(InstanceFormatError, match="bad result document"):
             result_from_json(json.dumps(obj))
+
+
+def _reference_json(doc):
+    """The result document as `json.dumps(obj, indent=2)` wrote it, built
+    from public values: the layout `result_to_json` must keep byte for byte."""
+
+    def scalar(s):
+        v = s.value
+        return v if v is None or isinstance(v, float) else str(v)
+
+    def vector(vec):
+        return [scalar(s) for s in vec]
+
+    def schedule(sched):
+        if sched is None:
+            return None
+        return {"start": vector(sched.start), "finish": vector(sched.finish)}
+
+    def violations(vs):
+        if vs is None:
+            return None
+        return {
+            "feasible": not vs,
+            "violations": [
+                {
+                    "kind": v.kind,
+                    "where": list(v.where),
+                    "amount": scalar(v.amount),
+                    "detail": v.detail,
+                }
+                for v in vs
+            ],
+        }
+
+    rows, cols = doc.generator.shape
+    obj = {
+        "format": "tropsched-result/1",
+        "objective": doc.objective,
+        "mode": doc.mode,
+        "title": doc.title,
+        "unit": doc.unit,
+        "activities": list(doc.names),
+        "theta": scalar(doc.theta),
+        "generator": [
+            [scalar(doc.generator[i, j]) for j in range(cols)] for i in range(rows)
+        ],
+        "u_low": vector(doc.u_low),
+        "u_high": vector(doc.u_high),
+        "schedules": {"low": schedule(doc.low), "high": schedule(doc.high)},
+        "unique": doc.unique,
+        "verification": {
+            "low": violations(doc.violations_low),
+            "high": violations(doc.violations_high),
+        },
+    }
+    return json.dumps(obj, indent=2) + "\n"
+
+
+_FINITE = st.one_of(
+    st.integers(-(10**20), 10**20),
+    st.fractions(max_denominator=50),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 1e300, -1e300, 5e-324]),
+)
+_PAYLOADS = st.none() | _FINITE
+_TEXTS = st.one_of(
+    st.sampled_from(
+        ['say "hi"', "back\\slash\\", "tab\tnl\nnul\x00\x1f\x7f", "Zürich ☃ 𝄞", ""]
+    ),
+    st.text(max_size=12),
+)
+
+
+@st.composite
+def result_docs(draw, generator=None):
+    """A ResultDocument of arbitrary payloads and strings; `generator`, when
+    given, is a strategy for the generator matrix."""
+    n = draw(st.integers(1, 5))
+    if generator is None:
+        cols = draw(st.integers(1, n))
+        rows = draw(st.lists(
+            st.lists(_PAYLOADS, min_size=cols, max_size=cols), min_size=n, max_size=n
+        ))
+        g = TropMatrix(rows)
+    else:
+        g = draw(generator(n))
+    cols = g.shape[1]
+
+    def vector(size, entries=_PAYLOADS):
+        return TropVector(draw(st.lists(entries, min_size=size, max_size=size)))
+
+    def schedule():
+        return Schedule(start=vector(n, _FINITE), finish=vector(n, _FINITE))
+
+    violations = st.lists(
+        st.builds(
+            Violation,
+            kind=_TEXTS,
+            where=st.lists(st.integers(0, 9), max_size=3).map(tuple),
+            amount=_PAYLOADS.map(TropScalar),
+            detail=_TEXTS,
+        ),
+        max_size=2,
+    ).map(tuple)
+    low = draw(st.none() | st.builds(schedule))
+    return ResultDocument(
+        objective=draw(st.sampled_from(["makespan", "deviation"]) | _TEXTS),
+        mode=draw(st.sampled_from(["exact", "float"])),
+        names=tuple(draw(st.lists(_TEXTS, min_size=n, max_size=n))),
+        theta=TropScalar(draw(_PAYLOADS)),
+        generator=g,
+        u_low=vector(cols),
+        u_high=vector(cols),
+        low=low,
+        high=schedule(),
+        unique=draw(st.booleans()),
+        title=draw(st.none() | _TEXTS),
+        unit=draw(st.none() | _TEXTS),
+        violations_low=None if low is None else draw(violations),
+        violations_high=draw(violations),
+    )
+
+
+def _int_generators(n):
+    """Square int64 generators, bottoms at the sentinel or drifted above it
+    up to the cutoff; read the sentinels when drawn, so they may be shrunk."""
+    neg, cutoff, cap = _kernels.NEG, _kernels.BOTTOM_CUTOFF, _kernels.MAG_CAP
+    entry = st.one_of(
+        st.integers(-cap, cap),
+        st.sampled_from([neg, cutoff, neg + 1, cutoff - 1, -cap, cap]),
+        st.integers(neg, cutoff),
+    )
+    return st.lists(entry, min_size=n * n, max_size=n * n).map(
+        lambda flat: TropMatrix._from_int_array(
+            np.array(flat, dtype=np.int64).reshape(n, n)
+        )
+    )
+
+
+def _with_payload_generator(doc):
+    """`doc` with its generator as the payload rows the array boxes to."""
+    arr = doc.generator._held_int_array()
+    g = TropMatrix._from_rows(_kernels.to_payload_rows(arr))
+    return dataclasses.replace(doc, generator=g)
+
+
+class TestResultWriter:
+    """result_to_json writes the bytes `json.dumps(obj, indent=2)` wrote."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(result_docs())
+    def test_matches_the_indented_encoder(self, doc):
+        assert result_to_json(doc) == _reference_json(doc)
+
+    @settings(max_examples=50, deadline=None)
+    @given(result_docs(generator=_int_generators))
+    def test_int64_generator_matches_its_payload_rows(self, doc):
+        text = result_to_json(doc)
+        assert doc.generator._rowcache is None
+        assert text == result_to_json(_with_payload_generator(doc))
+        assert text == _reference_json(doc)
+
+    def test_drifted_bottoms_print_null(self, small_sentinels):
+        @settings(max_examples=50, deadline=None)
+        @given(result_docs(generator=_int_generators))
+        def check(doc):
+            text = result_to_json(doc)
+            assert doc.generator._rowcache is None
+            assert text == result_to_json(_with_payload_generator(doc))
+
+        check()
+        arr = np.array(
+            [[_kernels.NEG, _kernels.NEG + 7], [_kernels.BOTTOM_CUTOFF, 3]],
+            dtype=np.int64,
+        )
+        doc = ResultDocument(
+            objective="makespan",
+            mode="exact",
+            names=("a", "b"),
+            theta=TropScalar(3),
+            generator=TropMatrix._from_int_array(arr),
+            u_low=TropVector([N, N]),
+            u_high=TropVector([0, 0]),
+            low=None,
+            high=Schedule(start=TropVector([0, 0]), finish=TropVector([1, 3])),
+            unique=False,
+            violations_low=None,
+        )
+        assert json.loads(result_to_json(doc))["generator"] == [
+            [None, None],
+            [None, "3"],
+        ]
+
+    @pytest.mark.parametrize("objective", ["makespan", "deviation"])
+    def test_solver_generator_is_encoded_from_its_array(self, monkeypatch, objective):
+        # n = 40: G u then runs on the array too, so nothing boxes G
+        def result():
+            inst = randgen.layered_instance(random.Random(40), 40)
+            names = tuple(f"t{i}" for i in range(40))
+            return _result_doc(InstanceDocument(names=names, instance=inst))
+
+        with_array = result()
+        assert with_array.generator._held_int_array() is not None
+        text = result_to_json(with_array)
+        assert with_array.generator._rowcache is None
+        with monkeypatch.context() as m:
+            m.setattr(_kernels, "available", lambda: False)
+            payload = result()
+            assert payload.generator._held_int_array() is None
+            assert result_to_json(payload) == text
+
+    def test_one_activity(self):
+        doc = parse_instance(
+            "activity a release=0 start-by=5 finish-by=9\n"
+            "start-finish a -> a lag=2\n"
+        )
+        result = _result_doc(doc)
+        assert result_to_json(result) == _reference_json(result)
+
+    def test_empty_violation_lists_and_non_empty_ones(self, doc):
+        result = dataclasses.replace(
+            _result_doc(doc),
+            violations_low=(),
+            violations_high=(
+                Violation("release", (0,), TropScalar(Fraction(1, 2)), 'a "b"'),
+            ),
+        )
+        text = result_to_json(result)
+        assert text == _reference_json(result)
+        assert '"violations": []' in text
+        assert '"where": [\n            0\n          ]' in text
+
+    def test_fixture_document_is_golden(self, capsys):
+        argv = ["solve", golden.fixture("vaccination.inst"),
+                "--objective", "makespan", "--format", "json"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out.encode("utf-8") == golden.FIXTURES.joinpath(
+            "vaccination-makespan.json"
+        ).read_bytes()
