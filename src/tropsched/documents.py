@@ -32,7 +32,7 @@ from fractions import Fraction
 
 from . import _kernels
 from .scheduling import ProjectInstance, Schedule, Violation
-from .semiring import BOTTOM, ONE, TropMatrix, TropScalar, TropVector
+from .semiring import BOTTOM, TropMatrix, TropScalar, TropVector, _p_str
 
 __all__ = [
     "InstanceFormatError",
@@ -181,8 +181,6 @@ def parse_instance(text, *, mode="exact", diagonal_one=True):
     if not names:
         raise InstanceFormatError("no activities defined")
     n = len(names)
-    grids = {kind: [[None] * n for _ in range(n)] for kind in _KINDS}
-    # the finite entries of each grid, for TropMatrix._int_array
     finite = {kind: [] for kind in _KINDS}
     seen = set()
     for kind, src, dst, lag, ln in raw_cons:
@@ -196,9 +194,7 @@ def parse_instance(text, *, mode="exact", diagonal_one=True):
             )
         seen.add(key)
         # "src -> dst" bounds dst from src: row dst, column src
-        i, j, v = index[dst], index[src], TropScalar(lag).value
-        grids[kind][i][j] = v
-        finite[kind].append((i, j, v))
+        finite[kind].append((index[dst], index[src], TropScalar(lag).value))
 
     sf_sources = {j for _, j, _ in finite["start-finish"]}
     for j, name in enumerate(names):
@@ -209,14 +205,12 @@ def parse_instance(text, *, mode="exact", diagonal_one=True):
                 f" 'start-finish {name} -> {name} lag=<duration>'"
             )
     if diagonal_one:
-        b = grids["start-start"]
-        for i in range(n):
-            if b[i][i] is None:
-                b[i][i] = 0
-                finite["start-start"].append((i, i, 0))
+        ss = finite["start-start"]
+        on_diagonal = {i for i, j, _ in ss if i == j}
+        ss.extend((i, i, 0) for i in range(n) if i not in on_diagonal)
 
     def matrix(kind):
-        return TropMatrix._from_rows(grids[kind], finite[kind])
+        return TropMatrix._from_entries((n, n), finite[kind])
 
     inst = ProjectInstance(
         start_start=matrix("start-start"),
@@ -244,7 +238,6 @@ def serialize_instance(doc):
     """Instance text that parses back to an equal document (exact data)."""
     inst = doc.instance
     names = doc.names
-    n = len(names)
     lines = []
     if doc.title:
         lines.append(f"title: {doc.title}")
@@ -266,14 +259,10 @@ def serialize_instance(doc):
         ("start-finish", inst.start_finish),
         ("finish-start", inst.finish_start),
     ):
-        for i in range(n):
-            for j in range(n):
-                v = mat[i, j]
-                if v.is_bottom:
-                    continue
-                if kind == "start-start" and i == j and v == ONE:
-                    continue
-                lines.append(f"{kind} {names[j]} -> {names[i]} lag={v}")
+        for i, j, v in mat._entries():
+            if kind == "start-start" and i == j and v == 0:
+                continue
+            lines.append(f"{kind} {names[j]} -> {names[i]} lag={_p_str(v)}")
     return "\n".join(lines) + "\n"
 
 

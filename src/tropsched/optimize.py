@@ -31,6 +31,8 @@ from .semiring import (
     TropScalar,
     TropVector,
     _FAST_CLOSURE_DIM,
+    _p_lt,
+    _p_str,
     _scaled_outer_sum,
 )
 
@@ -322,15 +324,16 @@ def family_member(fam, u):
         raise ValueError(f"parameter vector must have length {fam.n}")
     if not u.is_nonzero:
         raise ValueError("parameter vector must be nonzero")
-    for i in range(fam.n):
-        val = u[i]
-        if val < fam.u_low[i]:
+    for i, (val, low, high) in enumerate(zip(u._e, fam.u_low._e, fam.u_high._e)):
+        if _p_lt(val, low):
             raise ValueError(
-                f"parameter u[{i}] = {val} is below the lower bound {fam.u_low[i]}"
+                f"parameter u[{i}] = {_p_str(val)} is below the lower bound"
+                f" {_p_str(low)}"
             )
-        if val > fam.u_high[i]:
+        if _p_lt(high, val):
             raise ValueError(
-                f"parameter u[{i}] = {val} exceeds the upper bound {fam.u_high[i]}"
+                f"parameter u[{i}] = {_p_str(val)} exceeds the upper bound"
+                f" {_p_str(high)}"
             )
     return fam.G @ u
 

@@ -262,42 +262,54 @@ def deviation_value(x):
 def _auto_tol(inst, *vectors):
     mats = (inst.start_start, inst.start_finish, inst.finish_start)
     vecs = (inst.release, inst.start_deadline, inst.finish_deadline) + vectors
-    rows = [row for m in mats for row in m._rows] + [v._e for v in vecs]
+    lags = [v for m in mats for _, _, v in m._entries()]
+    rows = [lags] + [v._e for v in vecs]
     return 1e-9 if any(isinstance(x, float) for row in rows for x in row) else 0
 
 
-def _violations(inst, x, y, tol):
-    """Yield every violated constraint for payload tuples x, y."""
-    n = inst.n
-    b_rows = inst.start_start._rows
-    c_rows = inst.start_finish._rows
-    d_rows = inst.finish_start._rows
-    for i in range(n):
+def _finish_times(c_entries, x, n):
+    """C x as a payload list from C's finite entries; bottoms in x are
+    skipped, and a row with no finite term stays None."""
+    cx = [None] * n
+    for i, j, lag in c_entries:
+        xj = x[j]
+        if xj is None:
+            continue
+        v = lag + xj
+        if cx[i] is None or v > cx[i]:
+            cx[i] = v
+    return cx
+
+
+def _lag_violations(kind, mat, x, src, name, tol):
+    """Violations of x[i] >= lag + src[j] over the finite lags of mat."""
+    for i, j, lag in mat._entries():
+        sj = src[j]
+        if sj is None:
+            continue
+        lhs = lag + sj
         xi = x[i]
-        row = b_rows[i]
-        for j in range(n):
-            lag = row[j]
-            if lag is None or x[j] is None:
-                continue
-            lhs = lag + x[j]
-            if xi is None or lhs > xi + tol:
-                excess = None if xi is None else lhs - xi
-                yield Violation(
-                    "start-start",
-                    (i, j),
-                    TropScalar(excess),
-                    f"x[{i}] >= {_p_str(lag)} + x[{j}]",
-                )
+        if xi is None or lhs > xi + tol:
+            excess = None if xi is None else lhs - xi
+            yield Violation(
+                kind,
+                (i, j),
+                TropScalar(excess),
+                f"x[{i}] >= {_p_str(lag)} + {name}[{j}]",
+            )
+
+
+def _violations(inst, x, y, tol):
+    """Yield every violated constraint for payload sequences x, y.
+
+    Only the finite entries of B, C and D are visited, row-major, so one
+    call costs O(n + finite entries).
+    """
+    n = inst.n
+    yield from _lag_violations("start-start", inst.start_start, x, x, "x", tol)
+    c_x = _finish_times(inst.start_finish._entries(), x, n)
     for i in range(n):
-        row = c_rows[i]
-        cx = None
-        for j in range(n):
-            lag = row[j]
-            if lag is None or x[j] is None:
-                continue
-            v = lag + x[j]
-            if cx is None or v > cx:
-                cx = v
+        cx = c_x[i]
         yi = y[i]
         if cx is None and yi is None:
             continue
@@ -316,22 +328,7 @@ def _violations(inst, x, y, tol):
                 TropScalar(diff),
                 f"y[{i}] == (C x)[{i}] = {_p_str(cx)}",
             )
-    for i in range(n):
-        xi = x[i]
-        row = d_rows[i]
-        for j in range(n):
-            lag = row[j]
-            if lag is None or y[j] is None:
-                continue
-            lhs = lag + y[j]
-            if xi is None or lhs > xi + tol:
-                excess = None if xi is None else lhs - xi
-                yield Violation(
-                    "finish-start",
-                    (i, j),
-                    TropScalar(excess),
-                    f"x[{i}] >= {_p_str(lag)} + y[{j}]",
-                )
+    yield from _lag_violations("finish-start", inst.finish_start, x, y, "y", tol)
     g = inst.release._e
     h = inst.start_deadline._e
     f = inst.finish_deadline._e
@@ -410,22 +407,11 @@ def brute_force_oracle(inst, objective, *, step=1, max_points=2_000_000, tol=Non
     if total == 0:
         return None
 
-    c_rows = inst.start_finish._rows
+    c_entries = inst.start_finish._entries()
     best = None
     found = False
     for x in product(*axes):
-        y = []
-        for i in range(n):
-            row = c_rows[i]
-            yi = None
-            for j in range(n):
-                lag = row[j]
-                if lag is None:
-                    continue
-                v = lag + x[j]
-                if yi is None or v > yi:
-                    yi = v
-            y.append(yi)
+        y = _finish_times(c_entries, x, n)
         if next(_violations(inst, x, y, tol), None) is not None:
             continue
         if objective == "makespan":

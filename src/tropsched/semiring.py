@@ -318,18 +318,19 @@ class TropVector:
                 raise ValueError(
                     f"cannot multiply 1x{len(self._e)} by {other._nrows}x{other._ncols}"
                 )
-            fast = None
-            if (
+            # as in TropMatrix @ TropVector
+            fm = other._held_int_array()
+            if fm is None and (
                 len(self._e) * other._ncols >= _FAST_MATVEC_WORK
                 and _kernels.available()
             ):
                 fm = other._int_array()
-                if fm is not None:
-                    fv = _kernels.from_payload_vec(self._e)
-                    if fv is not None:
-                        fast = _kernels.vecmat(fv, fm)
-            if fast is not None:
-                return TropVector._from_payloads(_kernels.to_payload_vec(fast))
+            if fm is not None:
+                fv = _kernels.from_payload_vec(self._e)
+                if fv is not None:
+                    return TropVector._from_payloads(
+                        _kernels.to_payload_vec(_kernels.vecmat(fv, fm))
+                    )
             cols = zip(*other._rows) if other._rows else ()
             return TropVector._from_payloads(
                 _dot(self._e, col) for col in cols
@@ -364,11 +365,13 @@ class TropVector:
 
 
 class TropMatrix:
-    """Dense max-plus matrix stored row-major as immutable payload tuples.
+    """Max-plus matrix read row-major as immutable payload tuples.
 
-    A matrix made by a kernel holds its int64 array and boxes it into
-    payload rows only when they are first read.  A matrix made with a list
-    of its finite entries builds its int64 array from that list.
+    It is stored in one of three forms, and builds the payload rows from
+    the other two only when they are first read: the rows themselves; the
+    int64 array a kernel made; or the row-major list of its finite entries
+    `(row, col, payload)`, as parsed instance matrices are, which also
+    builds the int64 array.
     """
 
     __slots__ = ("_rowcache", "_nrows", "_ncols", "_intcache", "_finite")
@@ -386,15 +389,26 @@ class TropMatrix:
         self._finite = None
 
     @classmethod
-    def _from_rows(cls, rows, finite=None):
-        """Matrix over normalized payload rows; `finite`, when given, lists
-        every finite entry as `(row, col, payload)`."""
+    def _from_rows(cls, rows):
+        """Matrix over normalized payload rows."""
         m = cls.__new__(cls)
         m._rowcache = tuple(tuple(r) for r in rows)
         m._nrows = len(m._rowcache)
         m._ncols = len(m._rowcache[0]) if m._rowcache else 0
         m._intcache = _MISSING
-        m._finite = finite
+        m._finite = None
+        return m
+
+    @classmethod
+    def _from_entries(cls, shape, finite):
+        """Matrix of `shape` whose finite entries are the `(row, col,
+        payload)` triples in `finite`, at distinct positions; bottom
+        elsewhere."""
+        m = cls.__new__(cls)
+        m._rowcache = None
+        m._nrows, m._ncols = shape
+        m._intcache = _MISSING
+        m._finite = sorted(finite)
         return m
 
     @classmethod
@@ -410,8 +424,25 @@ class TropMatrix:
     @property
     def _rows(self):
         if self._rowcache is None:
-            self._rowcache = _kernels.to_payload_rows(self._intcache)
+            if self._finite is None:
+                self._rowcache = _kernels.to_payload_rows(self._intcache)
+            else:
+                grid = [[None] * self._ncols for _ in range(self._nrows)]
+                for i, j, v in self._finite:
+                    grid[i][j] = v
+                self._rowcache = tuple(map(tuple, grid))
         return self._rowcache
+
+    def _entries(self):
+        """The finite entries as `(row, col, payload)`, row-major."""
+        if self._finite is not None:
+            return self._finite
+        return [
+            (i, j, v)
+            for i, row in enumerate(self._rows)
+            for j, v in enumerate(row)
+            if v is not None
+        ]
 
     @classmethod
     def identity(cls, n):
@@ -461,7 +492,8 @@ class TropMatrix:
     @property
     def is_column_regular(self):
         """True when every column holds at least one finite entry."""
-        return all(col.count(None) < self._nrows for col in zip(*self._rows))
+        cols = {j for _, j, _ in self._entries()}
+        return not self._nrows or len(cols) == self._ncols
 
     def row(self, i):
         return TropVector._from_payloads(self._rows[i])
@@ -520,17 +552,20 @@ class TropMatrix:
                     f"cannot multiply {self._nrows}x{self._ncols}"
                     f" by {len(other._e)}x1"
                 )
-            if (
+            # a matrix that already holds its array (so numpy is loaded)
+            # takes the kernel at any size
+            fa = self._held_int_array()
+            if fa is None and (
                 self._nrows * self._ncols >= _FAST_MATVEC_WORK
                 and _kernels.available()
             ):
                 fa = self._int_array()
-                if fa is not None:
-                    fv = _kernels.from_payload_vec(other._e)
-                    if fv is not None:
-                        return TropVector._from_payloads(
-                            _kernels.to_payload_vec(_kernels.matvec(fa, fv))
-                        )
+            if fa is not None:
+                fv = _kernels.from_payload_vec(other._e)
+                if fv is not None:
+                    return TropVector._from_payloads(
+                        _kernels.to_payload_vec(_kernels.matvec(fa, fv))
+                    )
             return TropVector._from_payloads(
                 _dot(row, other._e) for row in self._rows
             )

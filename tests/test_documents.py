@@ -29,6 +29,7 @@ from tropsched import (
     serialize_instance,
     serialize_schedule,
     solve_makespan,
+    verify_schedule,
 )
 from tropsched import _kernels
 from tropsched.cli import main
@@ -196,6 +197,48 @@ class TestParsedIntArrays:
     def test_float_mode_does_not_convert(self):
         doc = parse_instance(MINIMAL, mode="float")
         assert doc.instance.start_finish._int_array() is None
+
+    @pytest.mark.parametrize("diagonal_one", [True, False])
+    def test_rows_built_from_entries(self, diagonal_one):
+        doc = parse_instance(
+            "activity a start-by=9 finish-by=20\n"
+            "activity b start-by=9 finish-by=20\n"
+            "activity c start-by=9 finish-by=20\n"
+            "start-start c -> a lag=2\n"
+            "start-start b -> b lag=-1\n"
+            "start-finish c -> c lag=3\n"
+            "start-finish a -> a lag=3\n"
+            "start-finish b -> b lag=1/2\n"
+            "start-finish a -> c lag=4\n",
+            diagonal_one=diagonal_one,
+        )
+        inst = doc.instance
+        d = 0 if diagonal_one else N
+        expected = {
+            "start_start": [[d, N, 2], [N, -1, N], [N, N, d]],
+            "start_finish": [[3, N, N], [N, Fraction(1, 2), N], [4, N, 3]],
+            "finish_start": [[N, N, N]] * 3,
+        }
+        for name, rows in expected.items():
+            m = getattr(inst, name)
+            assert m._rowcache is None
+            assert m._rows == TropMatrix(rows)._rows
+        assert inst.start_finish._entries() == [
+            (0, 0, 3), (1, 1, Fraction(1, 2)), (2, 0, 4), (2, 2, 3)
+        ]
+
+    @pytest.mark.parametrize("n", [25, 300])
+    def test_solve_and_verify_leave_the_rows_unbuilt(self, n):
+        # integer, n >= 20: reduce, the products with 1 and f~, G u, C x and
+        # the self-check all read the parsed matrices' entries or int64
+        # arrays, never payload rows
+        parsed = self._reparse(randgen.layered_instance(random.Random(n), n))
+        fam = solve_makespan(parsed)
+        for u in (fam.u_low, fam.u_high):
+            if u.is_nonzero:
+                assert verify_schedule(parsed, extract_schedule(fam, u)).feasible
+        for m in (parsed.start_start, parsed.start_finish, parsed.finish_start):
+            assert m._rowcache is None
 
 
 class TestParseErrors:
@@ -668,10 +711,11 @@ class TestResultWriter:
 
     @pytest.mark.parametrize("objective", ["makespan", "deviation"])
     def test_solver_generator_is_encoded_from_its_array(self, monkeypatch, objective):
-        # n = 40: G u then runs on the array too, so nothing boxes G
+        # n = 30: below the matvec work threshold, G u still runs on the
+        # array G holds, so nothing boxes G
         def result():
-            inst = randgen.layered_instance(random.Random(40), 40)
-            names = tuple(f"t{i}" for i in range(40))
+            inst = randgen.layered_instance(random.Random(30), 30)
+            names = tuple(f"t{i}" for i in range(30))
             return _result_doc(InstanceDocument(names=names, instance=inst))
 
         with_array = result()

@@ -99,6 +99,37 @@ class TestFamilyMember:
         with pytest.raises(ValueError, match="nonzero"):
             family_member(fam, TropVector.zeros(5))
 
+    def test_bound_messages_name_the_values(self):
+        fam = solve_rank_one(makespan_problem())
+        with pytest.raises(ValueError) as low:
+            family_member(fam, TropVector([0, 0, Fraction(-1, 2), 0, 0]))
+        assert str(low.value) == (
+            "parameter u[2] = -1/2 is below the lower bound 0"
+        )
+        with pytest.raises(ValueError) as high:
+            family_member(fam, TropVector([0, 0, 0, 0, 6]))
+        assert str(high.value) == (
+            "parameter u[4] = 6 exceeds the upper bound 5"
+        )
+        with pytest.raises(ValueError) as bottom:
+            family_member(fam, TropVector([N, 0, 0, 0, 0]))
+        assert str(bottom.value) == (
+            "parameter u[0] = -oo is below the lower bound 0"
+        )
+
+    def test_bottom_lower_bound_admits_any_value(self):
+        prob = RankOneProblem(
+            p=TropVector([0, 0]),
+            q=TropVector([0, 0]),
+            B=TropMatrix.zeros(2),
+            g=TropVector([N, N]),
+            h=TropVector([4, 4]),
+        )
+        fam = solve_rank_one(prob)
+        assert fam.u_low == TropVector([N, N])
+        for u in ([-(10**9), N], [N, Fraction(-7, 3)], [-2.5, 0.0]):
+            assert family_member(fam, TropVector(u)) == fam.G @ TropVector(u)
+
     def test_partial_parameter_vectors_are_allowed(self):
         prob = RankOneProblem(
             p=TropVector([0, N]),

@@ -1,5 +1,6 @@
 """Instance reduction, the two schedulers, verification, and the oracle."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -26,7 +27,8 @@ from tropsched import (
     verify_schedule,
 )
 from tropsched import _kernels
-from tropsched.semiring import _MISSING, _mul_rows
+from tropsched.scheduling import _auto_tol, _violations
+from tropsched.semiring import _MISSING, _mul_rows, _p_str
 
 N = None
 
@@ -534,3 +536,222 @@ class TestLargerInstances:
             sched = extract_schedule(fam, u)
             assert verify_schedule(inst, sched).feasible
             assert makespan_value(sched) == fam.theta
+
+    def test_extract_reads_the_generator_array(self):
+        # n = 30 is below the matvec work threshold, but G already holds its
+        # int64 array, so G u runs there and boxes no payload rows
+        fam = solve_makespan(randgen.layered_instance(random.Random(30), 30))
+        assert fam.G._held_int_array() is not None
+        for u in (fam.u_low, fam.u_high):
+            if u.is_nonzero:
+                extract_schedule(fam, u)
+        assert fam.G._rowcache is None
+
+
+def dense_violations(inst, x, y, tol):
+    """Every violation, found by visiting all 3 n^2 cells of B, C and D
+    row by row: the walk the entry walk of `_violations` must reproduce."""
+    n = inst.n
+    b_rows = inst.start_start._rows
+    c_rows = inst.start_finish._rows
+    d_rows = inst.finish_start._rows
+    out = []
+    for i in range(n):
+        for j in range(n):
+            lag = b_rows[i][j]
+            if lag is None or x[j] is None:
+                continue
+            lhs = lag + x[j]
+            if x[i] is None or lhs > x[i] + tol:
+                excess = None if x[i] is None else lhs - x[i]
+                out.append(("start-start", (i, j), TropScalar(excess),
+                            f"x[{i}] >= {_p_str(lag)} + x[{j}]"))
+    for i in range(n):
+        cx = None
+        for j in range(n):
+            lag = c_rows[i][j]
+            if lag is None or x[j] is None:
+                continue
+            v = lag + x[j]
+            if cx is None or v > cx:
+                cx = v
+        yi = y[i]
+        if cx is None and yi is None:
+            continue
+        detail = f"y[{i}] == (C x)[{i}] = {_p_str(cx)}"
+        if cx is None or yi is None:
+            out.append(("start-finish", (i,), TropScalar(None), detail))
+        elif yi > cx + tol or cx > yi + tol:
+            diff = yi - cx if yi > cx else cx - yi
+            out.append(("start-finish", (i,), TropScalar(diff), detail))
+    for i in range(n):
+        for j in range(n):
+            lag = d_rows[i][j]
+            if lag is None or y[j] is None:
+                continue
+            lhs = lag + y[j]
+            if x[i] is None or lhs > x[i] + tol:
+                excess = None if x[i] is None else lhs - x[i]
+                out.append(("finish-start", (i, j), TropScalar(excess),
+                            f"x[{i}] >= {_p_str(lag)} + y[{j}]"))
+    g = inst.release._e
+    h = inst.start_deadline._e
+    f = inst.finish_deadline._e
+    for i in range(n):
+        xi, yi = x[i], y[i]
+        if g[i] is not None and (xi is None or g[i] > xi + tol):
+            excess = None if xi is None else g[i] - xi
+            out.append(("release", (i,), TropScalar(excess),
+                        f"x[{i}] >= {_p_str(g[i])}"))
+        if xi is not None and xi > h[i] + tol:
+            out.append(("start-deadline", (i,), TropScalar(xi - h[i]),
+                        f"x[{i}] <= {_p_str(h[i])}"))
+        if yi is not None and yi > f[i] + tol:
+            out.append(("finish-deadline", (i,), TropScalar(yi - f[i]),
+                        f"y[{i}] <= {_p_str(f[i])}"))
+    return out
+
+
+def violation_keys(violations):
+    """kind, where, amount and detail of each violation, in order; repr
+    tells an int from a float of the same value, and -0.0 from 0.0."""
+    return [
+        (kind, where, repr(amount.value), detail)
+        for kind, where, amount, detail in violations
+    ]
+
+
+# exact integers, exact thirds, and float tenths (tol 1e-9)
+_DATA = {
+    "int": (lambda v: v, 0),
+    "third": (lambda v: TropScalar(Fraction(v, 3)).value, 0),
+    "float": (lambda v: v * 0.1, 1e-9),
+}
+
+
+def _mapped(inst, f, form, rng):
+    """`inst` with every finite payload mapped by f, its matrices made from
+    their shuffled finite entries (as a parse in file order gives them) or
+    from payload rows."""
+
+    def mat(m):
+        if form == "rows":
+            return TropMatrix._from_rows(
+                tuple(None if v is None else f(v) for v in row) for row in m._rows
+            )
+        entries = [(i, j, f(v)) for i, j, v in m._entries()]
+        rng.shuffle(entries)
+        return TropMatrix._from_entries(m.shape, entries)
+
+    def vec(v):
+        return TropVector._from_payloads(None if e is None else f(e) for e in v._e)
+
+    return ProjectInstance(
+        start_start=mat(inst.start_start),
+        start_finish=mat(inst.start_finish),
+        finish_start=mat(inst.finish_start),
+        release=vec(inst.release),
+        start_deadline=vec(inst.start_deadline),
+        finish_deadline=vec(inst.finish_deadline),
+    )
+
+
+def _base_schedule(inst, rng):
+    """Integer starts and finishes: the latest optimal schedule when the
+    instance solves, else random starts inside the box with y = C x."""
+    try:
+        fam = solve_makespan(inst)
+        sched = extract_schedule(fam, fam.u_high)
+        return list(sched.start._e), list(sched.finish._e)
+    except (InfeasibleError, ValueError):
+        g, h = inst.release._e, inst.start_deadline._e
+        x = [rng.randint((g[i] or 0) - 1, h[i] + 1) for i in range(inst.n)]
+        return x, list((inst.start_finish @ TropVector(x))._e)
+
+
+class TestViolationsOnEntries:
+    """`_violations` walks only the finite entries of B, C and D and must
+    yield what the all-cells walk yields, in the same order."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(0, 2**32),
+        st.sampled_from(["random", "layered"]),
+        st.sampled_from(sorted(_DATA)),
+        st.sampled_from(["entries", "rows"]),
+        st.booleans(),
+    )
+    def test_matches_the_dense_walk(self, seed, kind, data, form, holes):
+        rng = random.Random(seed)
+        if kind == "random":
+            inst = randgen.rand_instance(rng, nmin=1, nmax=40)
+        else:
+            inst = randgen.layered_instance(rng, rng.randint(1, 40))
+        x, y = _base_schedule(inst, rng)
+        for vec in (x, y):
+            for _ in range(rng.randint(0, 4)):
+                k = rng.randrange(inst.n)
+                vec[k] += rng.choice((-1, 1))
+        f, tol = _DATA[data]
+        x = [f(v) for v in x]
+        y = [None if v is None else f(v) for v in y]
+        if holes:
+            # bottoms, as brute_force_oracle's y = C x can hold
+            for vec in (x, y):
+                for k in range(inst.n):
+                    if rng.random() < 0.1:
+                        vec[k] = None
+        mapped = _mapped(inst, f, form, rng)
+        got = [
+            (v.kind, v.where, v.amount, v.detail)
+            for v in _violations(mapped, tuple(x), tuple(y), tol)
+        ]
+        want = dense_violations(mapped, x, y, tol)
+        assert violation_keys(got) == violation_keys(want)
+
+    def test_order_is_row_major_not_file_order(self, inst):
+        # every lag of B and D violated by an all-zero schedule is reported
+        # by (i, j), however the entries were listed
+        entries = list(inst.start_start._entries())
+        shuffled = dataclasses.replace(
+            inst,
+            start_start=TropMatrix._from_entries(
+                inst.start_start.shape, entries[::-1]
+            ),
+        )
+        zero = Schedule(
+            start=TropVector.ones(inst.n), finish=TropVector.ones(inst.n)
+        )
+        report = verify_schedule(shuffled, zero)
+        where = [v.where for v in report.violations if v.kind == "start-start"]
+        assert len(where) > 1
+        assert where == sorted(where)
+        assert report == verify_schedule(inst, zero)
+
+    @pytest.mark.parametrize("which", ["start_start", "start_finish", "finish_start"])
+    @pytest.mark.parametrize("position", [0, -1])
+    def test_auto_tol_sees_every_float_lag(self, inst, which, position):
+        m = getattr(inst, which)
+        entries = list(m._entries())
+        i, j, v = entries[position]
+        entries[position] = (i, j, float(v))
+        one_float = dataclasses.replace(
+            inst, **{which: TropMatrix._from_entries(m.shape, entries)}
+        )
+        assert _auto_tol(inst) == 0
+        assert _auto_tol(one_float) == 1e-9
+        # exact times, so only the one float lag can loosen the check
+        eps = Fraction(1, 10**12)
+        sched = Schedule(
+            start=TropVector([v + eps for v in golden.X_OPT]),
+            finish=TropVector(golden.Y_OPT),
+        )
+        assert verify_schedule(one_float, sched).feasible
+        assert not verify_schedule(inst, sched).feasible
+
+    def test_auto_tol_sees_float_schedule_times(self, inst):
+        sched = Schedule(
+            start=TropVector([v + 1e-12 for v in golden.X_OPT]),
+            finish=TropVector(golden.Y_OPT),
+        )
+        assert _auto_tol(inst, sched.start, sched.finish) == 1e-9

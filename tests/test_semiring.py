@@ -206,6 +206,49 @@ class TestMatrix:
     def test_column_regular(self):
         assert TropMatrix([[1, N], [N, 0]]).is_column_regular
         assert not TropMatrix([[1, N], [2, N]]).is_column_regular
+        entries = TropMatrix._from_entries
+        assert entries((2, 2), [(1, 1, 0), (0, 0, 1)]).is_column_regular
+        assert not entries((2, 2), [(0, 0, 1), (1, 0, 2)]).is_column_regular
+        assert not entries((2, 2), []).is_column_regular
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_entries_form_reads_like_rows(self, data):
+        """A matrix made from its finite entries, in any order, reads as
+        the matrix made from the rows they describe."""
+        m, n = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 7))
+        cell = st.one_of(
+            st.none(),
+            st.integers(-5, 5),
+            st.fractions(max_denominator=4).map(lambda f: TropScalar(f).value),
+            st.floats(-5, 5, allow_nan=False),
+        )
+        rows = data.draw(
+            st.lists(
+                st.lists(cell, min_size=n, max_size=n), min_size=m, max_size=m
+            )
+        )
+        dense = TropMatrix(rows)
+        finite = [
+            (i, j, v)
+            for i, row in enumerate(dense._rows)
+            for j, v in enumerate(row)
+            if v is not None
+        ]
+        shuffled = data.draw(st.permutations(finite))
+        sparse = TropMatrix._from_entries((m, n), shuffled)
+        assert sparse._rowcache is None
+        assert sparse._entries() == finite == dense._entries()
+        assert sparse.is_column_regular == dense.is_column_regular
+        assert sparse._rowcache is None
+        assert sparse._rows == dense._rows
+        assert sparse == dense and sparse.shape == dense.shape
+
+    def test_empty_entries_read_as_bottom_rows(self):
+        m = TropMatrix._from_entries((2, 3), [])
+        assert m._entries() == []
+        assert m._rows == TropMatrix.zeros(2, 3)._rows
+        assert (m._int_array() == _kernels.NEG).all()
 
     def test_add_is_entrywise_max(self):
         a = TropMatrix([[1, N], [0, 5]])
