@@ -1,5 +1,8 @@
 """Integer fast path: max-plus kernels on int64 arrays with a bottom sentinel.
 
+`semiring._operands` decides when these kernels run; `_loops` holds their
+payload namesakes.
+
 Finite entries are accepted only up to |v| <= 2**50 and the sentinel sits at
 -2**62, so adding two clamped values can never wrap below the int64 minimum.
 Every kernel re-clamps its output to the sentinel, which keeps the drift of
@@ -9,22 +12,22 @@ to the bottom element.
 That argument covers one addition.  A closure adds up to n - 1 entries along
 an elementary path, so it is exact only while (n - 1) * max|finite entry|
 stays short of the cutoff: then a finite path sum stays above -2**61, and a
-bottom entry plus such a sum stays at or below it.  `paths_fit` checks this
-bound; callers take the payload loop when it fails.
+bottom entry plus such a sum stays at or below it.  `span_fits` checks such
+a bound; a star asks it of n - 1.
 
-The rank-one solve on arrays (`optimize`) forms longer sums.  With M the
-largest finite magnitude in B, p, q~, g and h~: its chain entries (running
-maxima of B^i p and q~ B^j, i, j <= n - 2; it keeps only some) stay within
+The rank-one solve (`optimize`) forms longer sums.  With M the largest
+finite magnitude in B, p, q~, g and h~: its chain entries (running maxima
+of B^i p and q~ B^j, i, j <= n - 2; it keeps only some) stay within
 (n - 1) M, theta within 2n M, an outer product term minus theta within
 (4n - 2) M, and h~ G within (4n - 1) M; a bottom drifts by at most the same
-sums.  `rank_one_fits` asks of 4n M what `paths_fit` asks of the path bound.
+sums.  It asks `span_fits` of 4n.
 
 Project networks are sparse, so `closure`, `positive_cycle_pivot` and
 `matmul` work only on finite entries while those are under a quarter of
 the work.  At pivot k the closure updates d[i][j] only for rows with a
 finite d[i][k] and columns with a finite d[k][j]; any other sum through k
 has a bottom term, is a bottom itself and so can raise no finite entry.
-The finite sums it does form are path sums, exact by `paths_fit`.  It
+The finite sums it does form are path sums, exact by the star's bound.  It
 writes only those sums, never a bottom plus a finite value, so it adds no
 drift: bottoms stay at the sentinel until a finite path reaches them.
 `matmul` skips the bottom entries of each row of a for the same reason.
@@ -172,21 +175,11 @@ def _magnitude(a):
     return int(np.abs(a[a > BOTTOM_CUTOFF]).max(initial=0))
 
 
-def _span_fits(k, *arrays):
+def span_fits(k, *arrays):
     """True when k times the largest finite magnitude in `arrays` stays
     above the cutoff, and the sentinel plus it at or below."""
     span = k * max(_magnitude(a) for a in arrays)
     return span < -BOTTOM_CUTOFF and NEG + span <= BOTTOM_CUTOFF
-
-
-def paths_fit(a):
-    """True when every elementary path sum of square `a` is exact in int64."""
-    return _span_fits(a.shape[0] - 1, a)
-
-
-def rank_one_fits(b, *vecs):
-    """True when the rank-one solve on square `b` and its vectors is exact."""
-    return _span_fits(4 * b.shape[0], b, *vecs)
 
 
 def _reset_bottom(a):
@@ -221,6 +214,15 @@ def closure(a):
         else:
             np.maximum(d, d[:, k, None] + d[None, k, :], out=d)
             np.maximum(d, NEG, out=d)
+    return d
+
+
+def star(a):
+    """A* = I max A+ of square `a`, or None when a cycle is positive."""
+    d = closure(a)
+    if (d.diagonal() > 0).any():
+        return None
+    np.fill_diagonal(d, 0)
     return d
 
 
@@ -273,10 +275,19 @@ def running_maxima(b, x, cap, left=False):
 
 def dot(u, v):
     """Max-plus dot product as a payload: an int, or None for bottom."""
-    s = int(np.max(u + v))
+    s = int(np.max(u + v, initial=NEG))
     return None if s <= BOTTOM_CUTOFF else s
 
 
+def take(rows, idx):
+    return rows[idx]
+
+
+def transpose(a):
+    return a.T
+
+
+# no caller in the package: kept only because bench/tracing.py wraps it
 def outer_acc(acc, v, w):
     """acc = acc max (v_i + w_j), in place."""
     np.maximum(acc, v[:, None] + w[None, :], out=acc)

@@ -4,6 +4,9 @@ Both charts use unit-interval columns: column k covers the time interval
 (k-1, k], so a bar for an activity running over [x, y] fills columns x+1
 through y when x and y are integers; fractional times fill every column
 they overlap.  Times before 0 shift the origin and are noted on the chart.
+A chart spans at most _MAX_SPAN time units, since it draws one column (or
+grid line) per unit; a longer schedule raises ValueError before anything
+is drawn.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ __all__ = ["ascii_gantt", "svg_gantt"]
 _SCALE = 40
 _ROW_H = 28
 _BAR_H = 18
+_MAX_SPAN = 10_000
 
 
 def _span(schedule):
@@ -22,6 +26,10 @@ def _span(schedule):
     ys = schedule.finish._e
     t0 = min(0, math.floor(min(xs)))
     t_end = max(math.ceil(max(ys)), t0 + 1)
+    if t_end - t0 > _MAX_SPAN:
+        raise ValueError(
+            f"schedule spans {t_end - t0} time units; a chart draws at most {_MAX_SPAN}"
+        )
     return xs, ys, t0, t_end
 
 

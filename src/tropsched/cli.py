@@ -233,7 +233,11 @@ def cmd_chart(args):
         )
     title = result.title or f"{result.objective} = {result.theta}"
     render = ascii_gantt if args.format == "ascii" else svg_gantt
-    _emit(render(result.names, sched, title=title, unit=result.unit), args.out)
+    try:
+        text = render(result.names, sched, title=title, unit=result.unit)
+    except ValueError as e:
+        raise CliError(f"cannot chart this schedule: {e}") from e
+    _emit(text, args.out)
     return 0
 
 

@@ -14,6 +14,9 @@ its first repeat, after which it cannot change; V_i may replace B^i p, as
 B^k p W_{n-2-i} <= B^k p W_{n-2-k} for k <= i.  As V rises and W_{n-2-i}
 falls with i, the terms with n-2-dw <= i <= dv (dv, dw: the chains' last
 indices) dominate the rest, or V_dv W_dw alone when there are none.
+
+`_rank_one` writes that closed form once, over the backend that
+`semiring._operands` picks for the whole problem.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from . import _kernels
+from . import _loops
 from .semiring import (
     BOTTOM,
     ONE,
@@ -30,10 +33,12 @@ from .semiring import (
     TropMatrix,
     TropScalar,
     TropVector,
-    _FAST_CLOSURE_DIM,
+    _matrix,
+    _operands,
+    _p_add,
     _p_lt,
     _p_str,
-    _scaled_outer_sum,
+    _scalar,
 )
 
 __all__ = [
@@ -128,7 +133,9 @@ class GeneralProblem:
                 raise ValueError(f"{name} must have length {n}")
         if not self.h.is_regular:
             raise ValueError("upper bound h must be regular")
-        if self.A.spectral_radius().is_bottom:
+        # the spectral radius is bottom iff no node reaches itself in A+
+        closed = _loops.closure(self.A._rows)
+        if all(closed[i][i] is None for i in range(n)):
             raise ValueError("degenerate objective: A has bottom spectral radius")
 
     @property
@@ -183,74 +190,45 @@ def _check_box_gate(gate):
 
 
 def solve_rank_one(prob):
-    """Closed-form O(n^3) solution family for a rank-one objective: on int64
-    arrays where `_rank_one_int64` admits the problem, else on payloads."""
+    """Closed-form O(n^3) solution family for a rank-one objective, on the
+    int64 kernels when `semiring._operands` admits B and the vectors with
+    sums of 4n entries, else on exact payloads, with the same result."""
     B, g, h = prob.B, prob.g, prob.h
     star = _constraint_star(B)
-    theta, G, u_high = _rank_one_int64(prob, star) or _rank_one_payload(
-        prob, star
-    )
+    theta, G, u_high = _rank_one(prob, star)
     return SolutionFamily(
         theta=theta, G=G, u_low=g, u_high=u_high, B=B, g=g, h=h
     )
 
 
-def _rank_one_int64(prob, star):
-    """(theta, G, u_high) on int64 arrays, converted in once and out once;
-    None unless the problem is integer, has at least _FAST_CLOSURE_DIM
-    variables and passes `_kernels.rank_one_fits`."""
-    b = prob.B._int_array() if prob.n >= _FAST_CLOSURE_DIM else None
-    if b is None:
-        return None
-    vecs = [
-        _kernels.from_payload_vec(v._e)
-        for v in (prob.p, prob.q.conj(), prob.g, prob.h.conj())
-    ]
-    if any(v is None for v in vecs) or not _kernels.rank_one_fits(b, *vecs):
-        return None
-    p, qc, g, hc = vecs
-    s = star._int_array()
-    _check_box_gate(TropScalar(_kernels.dot(_kernels.vecmat(hc, s), g)))
-    vs = _kernels.running_maxima(b, p, prob.n - 2)
-    ws = _kernels.running_maxima(b, qc, prob.n - 2, left=True)
-    iv, jw = _dominant_terms(prob.n, len(vs) - 1, len(ws) - 1)
-    vs, ws = vs[iv], ws[jw]
-    theta = TropScalar(_kernels.dot(_kernels.vecmat(qc, s), p)) + TropScalar(
-        _kernels.dot(_kernels.matvec(vs, hc), _kernels.matvec(ws, g))
+def _rank_one(prob, star):
+    """(theta, G, u_high) for the rank-one problem with B* = `star`, on the
+    backend `_operands` picks, converted in once and out once."""
+    n = prob.n
+    vecs = (prob.p, prob.q.conj(), prob.g, prob.h.conj())
+    # its sums add at most 4n entries: see the int64 bound in `_kernels`
+    k, (b, s), (p, qc, g, hc) = _operands(
+        [prob.B, star], [v._e for v in vecs], span=4 * n
     )
-    assert not theta.is_bottom, "optimal value fell to bottom"
-    G = _scaled_outer_sum(s, -theta.value, vs, ws)
-    u_high = _kernels.to_payload_vec(-_kernels.vecmat(hc, G))
-    return theta, TropMatrix._from_int_array(G), TropVector._from_payloads(u_high)
-
-
-def _rank_one_payload(prob, star):
-    """(theta, G, u_high) computed on payloads, exact for every number type."""
-    B, p, g, n = prob.B, prob.p, prob.g, prob.n
-    hc, qc = prob.h.conj(), prob.q.conj()
-    _check_box_gate((hc @ star) @ g)
-    vs = _running_maxima(p, lambda v: B @ v, n - 2)
-    ws = _running_maxima(qc, lambda w: w @ B, n - 2)
+    _check_box_gate(_scalar(k.dot(k.vecmat(hc, s), g)))
+    vs = k.running_maxima(b, p, n - 2)
+    ws = k.running_maxima(b, qc, n - 2, left=True)
     iv, jw = _dominant_terms(n, len(vs) - 1, len(ws) - 1)
-    vs, ws = [vs[i] for i in iv], [ws[j] for j in jw]
-    theta = (qc @ star) @ p
-    for v, w in zip(vs, ws):
-        theta = theta + (hc @ v) * (w @ g)
-    assert not theta.is_bottom, "optimal value fell to bottom"
-    G = _scaled_outer_sum(star, theta.inv(), vs, ws)
-    return theta, G, (hc @ G).conj()
+    vs, ws = k.take(vs, iv), k.take(ws, jw)
+    theta = _p_add(
+        k.dot(k.vecmat(qc, s), p), k.dot(k.matvec(vs, hc), k.matvec(ws, g))
+    )
+    assert theta is not None, "optimal value fell to bottom"
+    G = _scaled_outer_sum(k, s, -theta, vs, ws) if iv else s
+    u_high = TropVector._from_payloads(k.to_payload_vec(k.vecmat(hc, G)))
+    return _scalar(theta), _matrix(k, G), u_high.conj()
 
 
-def _running_maxima(x, step, cap):
-    """[x, x + step(x), ...] up to index cap, stopped before the first
-    repeat (see the module docstring)."""
-    out = [x]
-    for _ in range(cap):
-        nxt = out[-1] + step(out[-1])
-        if nxt == out[-1]:
-            break
-        out.append(nxt)
-    return out
+def _scaled_outer_sum(k, base, scale, vs, ws):
+    """base + scale * (sum of outer(vs[i], ws[i]) over i), all tropical:
+    the generator assembly, one max-plus product of the stacked chain
+    rows on backend k."""
+    return k.scale_max(k.matmul(k.transpose(vs), ws), scale, base)
 
 
 def _dominant_terms(n, dv, dw):

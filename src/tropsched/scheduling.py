@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from . import _kernels
+from . import _loops
 from .optimize import (
     InfeasibleError,
     RankOneProblem,
@@ -30,7 +30,8 @@ from .semiring import (
     TropMatrix,
     TropScalar,
     TropVector,
-    _FAST_CLOSURE_DIM,
+    _matrix,
+    _operands,
     _p_add,
     _p_lt,
     _p_str,
@@ -175,29 +176,19 @@ class ScheduleReport:
 def reduce_instance(inst):
     """Combined precedence matrix R = B + D C and start ceiling s = (f~ C + h~)~.
 
-    R is computed on int64 arrays when all three matrices convert, so the
-    solver receives it already in that form; otherwise on payloads.
+    R is computed on the backend `semiring._operands` picks for B, D and C,
+    so the solver receives it in that form; on payloads when an entry of R
+    exceeds the int64 kernels' bound.
     """
-    R = _combined_int64(inst)
-    if R is None:
-        R = inst.start_start + (inst.finish_start @ inst.start_finish)
+    mats = (inst.start_start, inst.finish_start, inst.start_finish)
+    k, forms, _ = _operands(mats)
+    r = k.max_product(*forms)
+    if r is None:
+        k = _loops
+        r = k.max_product(*(m._rows for m in mats))
+    R = _matrix(k, r)
     s_conj = (inst.finish_deadline.conj() @ inst.start_finish) + inst.start_deadline.conj()
     return R, s_conj.conj()
-
-
-def _combined_int64(inst):
-    """R = B + D C on int64 arrays, or None unless the instance is integer,
-    has at least _FAST_CLOSURE_DIM activities and R stays within MAG_CAP."""
-    if inst.n < _FAST_CLOSURE_DIM:
-        return None
-    arrays = [
-        m._int_array()
-        for m in (inst.start_start, inst.finish_start, inst.start_finish)
-    ]
-    if any(a is None for a in arrays):
-        return None
-    r = _kernels.max_product(*arrays)
-    return None if r is None else TropMatrix._from_int_array(r)
 
 
 def _solve(inst, objective):

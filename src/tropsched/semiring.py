@@ -8,9 +8,10 @@ powers are rational multiples.
 
 Entries stay exact as long as they are created from ints, Fractions, or
 numeric strings; entries created from floats keep float arithmetic.
-Internally the bottom element is the payload None, finite entries are
-int / Fraction / float, and all-integer objects transparently use int64
-kernels for large operations.
+Internally the bottom element is the payload None, and finite entries are
+int / Fraction / float.  `_operands` alone picks the backend of every
+operation that can run on int64 arrays: the int64 kernels (`_kernels`) or
+their payload namesakes (`_loops`), which give the same results.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from . import _kernels
+from . import _kernels, _loops
+from ._loops import _p_add
 
 __all__ = [
     "TropScalar",
@@ -33,10 +35,9 @@ __all__ = [
 
 _MISSING = object()
 
-# minimum number of elementary operations before the int64 kernels engage
-_FAST_MATMUL_WORK = 8000
-_FAST_MATVEC_WORK = 1024
-_FAST_CLOSURE_DIM = 20
+# rows a matrix needs before the int64 kernels take it, unless it already
+# holds its array: below that, converting costs more than the payload loops
+_KERNEL_DIM = 20
 
 
 def _payload(value):
@@ -66,14 +67,6 @@ def _other_payload(other):
     if isinstance(other, (int, Fraction, float)):
         return _payload(other)
     return _MISSING
-
-
-def _p_add(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return a if a >= b else b
 
 
 def _p_mul(a, b):
@@ -107,25 +100,6 @@ def _p_lt(a, b):
 
 def _p_str(v):
     return "-oo" if v is None else str(v)
-
-
-def _dot(u, v):
-    """Max-plus dot product of two payload sequences."""
-    best = None
-    for a, b in zip(u, v):
-        if a is None or b is None:
-            continue
-        s = a + b
-        if best is None or s > best:
-            best = s
-    return best
-
-
-def _mul_rows(a_rows, b_rows):
-    b_cols = tuple(zip(*b_rows)) if b_rows else ()
-    return tuple(
-        tuple(_dot(row, col) for col in b_cols) for row in a_rows
-    )
 
 
 class TropScalar:
@@ -312,29 +286,14 @@ class TropVector:
         if isinstance(other, TropVector):
             if len(self._e) != len(other._e):
                 raise ValueError("vector lengths differ")
-            return _scalar(_dot(self._e, other._e))
+            return _scalar(_loops.dot(self._e, other._e))
         if isinstance(other, TropMatrix):
             if len(self._e) != other._nrows:
                 raise ValueError(
                     f"cannot multiply 1x{len(self._e)} by {other._nrows}x{other._ncols}"
                 )
-            # as in TropMatrix @ TropVector
-            fm = other._held_int_array()
-            if fm is None and (
-                len(self._e) * other._ncols >= _FAST_MATVEC_WORK
-                and _kernels.available()
-            ):
-                fm = other._int_array()
-            if fm is not None:
-                fv = _kernels.from_payload_vec(self._e)
-                if fv is not None:
-                    return TropVector._from_payloads(
-                        _kernels.to_payload_vec(_kernels.vecmat(fv, fm))
-                    )
-            cols = zip(*other._rows) if other._rows else ()
-            return TropVector._from_payloads(
-                _dot(self._e, col) for col in cols
-            )
+            k, (a,), (v,) = _operands([other], [self._e])
+            return TropVector._from_payloads(k.to_payload_vec(k.vecmat(v, a)))
         return NotImplemented
 
     def __eq__(self, other):
@@ -537,38 +496,16 @@ class TropMatrix:
                     f"cannot multiply {self._nrows}x{self._ncols}"
                     f" by {other._nrows}x{other._ncols}"
                 )
-            if (
-                self._nrows * self._ncols * other._ncols >= _FAST_MATMUL_WORK
-                and _kernels.available()
-            ):
-                fa = self._int_array()
-                fb = other._int_array()
-                if fa is not None and fb is not None:
-                    return TropMatrix._from_int_array(_kernels.matmul(fa, fb))
-            return TropMatrix._from_rows(_mul_rows(self._rows, other._rows))
+            k, (a, b), _ = _operands([self, other])
+            return _matrix(k, k.matmul(a, b))
         if isinstance(other, TropVector):
             if self._ncols != len(other._e):
                 raise ValueError(
                     f"cannot multiply {self._nrows}x{self._ncols}"
                     f" by {len(other._e)}x1"
                 )
-            # a matrix that already holds its array (so numpy is loaded)
-            # takes the kernel at any size
-            fa = self._held_int_array()
-            if fa is None and (
-                self._nrows * self._ncols >= _FAST_MATVEC_WORK
-                and _kernels.available()
-            ):
-                fa = self._int_array()
-            if fa is not None:
-                fv = _kernels.from_payload_vec(other._e)
-                if fv is not None:
-                    return TropVector._from_payloads(
-                        _kernels.to_payload_vec(_kernels.matvec(fa, fv))
-                    )
-            return TropVector._from_payloads(
-                _dot(row, other._e) for row in self._rows
-            )
+            k, (a,), (v,) = _operands([self], [other._e])
+            return TropVector._from_payloads(k.to_payload_vec(k.matvec(a, v)))
         return NotImplemented
 
     def __pow__(self, k):
@@ -626,31 +563,13 @@ class TropMatrix:
         """
         if not self.is_square:
             raise ValueError("star needs a square matrix")
-        n = self._nrows
-        if n == 0:
-            return self
-        arr = self._int_array() if n >= _FAST_CLOSURE_DIM else None
-        if arr is not None and not _kernels.paths_fit(arr):
-            arr = None
-        if arr is not None:
-            closed = _kernels.closure(arr)
-            diag = closed.diagonal()
-            if (diag > 0).any():
-                cycle, weight = _positive_cycle_witness(self._rows, n, arr)
-                raise PositiveCycleError(cycle, _scalar(weight))
-            for i in range(n):
-                if closed[i, i] < 0:
-                    closed[i, i] = 0
-            return TropMatrix._from_int_array(closed)
-        d = _closure_rows(self._rows, n)
-        for i in range(n):
-            dii = d[i][i]
-            if dii is not None and dii > 0:
-                cycle, weight = _positive_cycle_witness(self._rows, n)
-                raise PositiveCycleError(cycle, _scalar(weight))
-        for i in range(n):
-            d[i][i] = 0
-        return TropMatrix._from_rows(d)
+        # a path sums at most n - 1 entries
+        k, (a,), _ = _operands([self], span=self._nrows - 1)
+        closed = k.star(a)
+        if closed is None:
+            cycle, weight = _positive_cycle_witness(k, a, self._rows)
+            raise PositiveCycleError(cycle, _scalar(weight))
+        return _matrix(k, closed)
 
     def __eq__(self, other):
         if not isinstance(other, TropMatrix):
@@ -709,78 +628,59 @@ class PositiveCycleError(ValueError):
         )
 
 
-def _closure_rows(rows, n):
-    """Pure Floyd-Warshall max-plus closure; returns mutable row lists."""
-    d = [list(r) for r in rows]
-    for k in range(n):
-        dk = d[k]
-        for i in range(n):
-            dik = d[i][k]
-            if dik is None:
-                continue
-            di = d[i]
-            for j in range(n):
-                dkj = dk[j]
-                if dkj is None:
-                    continue
-                v = dik + dkj
-                if di[j] is None or v > di[j]:
-                    di[j] = v
-    return d
+def _operands(mats, vecs=(), span=0):
+    """(k, forms, vec_forms): the backend module k for an operation on the
+    matrices `mats` and payload vectors `vecs`, each operand in k's form.
+
+    k is `_kernels`, with int64 arrays, when numpy is present, the first
+    matrix already holds its array or has at least `_KERNEL_DIM` rows,
+    every operand converts, and sums of `span` entries of the first matrix
+    and the vectors are exact (`_kernels.span_fits`; the other matrices
+    derive from those).  Else k is `_loops`, with payload rows and tuples.
+    """
+    first = mats[0]
+    if _kernels.available() and (
+        first._held_int_array() is not None or first._nrows >= _KERNEL_DIM
+    ):
+        forms = [m._int_array() for m in mats]
+        if all(a is not None for a in forms):
+            vec_forms = [_kernels.from_payload_vec(v) for v in vecs]
+            if all(v is not None for v in vec_forms) and (
+                not span or _kernels.span_fits(span, forms[0], *vec_forms)
+            ):
+                return _kernels, forms, vec_forms
+    return _loops, [m._rows for m in mats], [tuple(v) for v in vecs]
 
 
-def _positive_cycle_witness(rows, n, arr=None):
+def _matrix(k, form):
+    """TropMatrix over a matrix in backend k's form, which the caller
+    must not write to afterwards."""
+    if k is _kernels:
+        return TropMatrix._from_int_array(form)
+    return TropMatrix._from_rows(form)
+
+
+def _positive_cycle_witness(k, a, rows):
     """Find an elementary cycle of positive weight; returns (nodes, weight).
 
     One Floyd-Warshall pass with successor pointers, stopped at the first
     pivot k where some d[i][k] + d[k][i] > 0.  No earlier pivot closed a
     positive cycle, so the successor walks i -> k and k -> i are longest
     paths and together form a positive closed walk, which is then trimmed
-    to an elementary cycle.  `arr` is the int64 form of `rows` when the
-    kernels may run on it; the pass then runs there, else on the payloads.
+    to an elementary cycle.  The pass runs on the backend module given as
+    `k`, over `a`, the form of the payload `rows` that `_operands` gave.
     """
+    n = len(rows)
     for i in range(n):
         v = rows[i][i]
         if v is not None and v > 0:
             return (i,), v
-    hit = (
-        _kernels.positive_cycle_pivot(arr)
-        if arr is not None
-        else _positive_cycle_pivot_rows(rows, n)
-    )
+    hit = k.positive_cycle_pivot(a)
     if hit is None:
         raise AssertionError("no positive cycle found despite positive diagonal")
     i, k, succ = hit
     walk = _successor_path(succ, i, k, n) + _successor_path(succ, k, i, n)[1:]
     return _trim_to_positive_cycle(rows, walk)
-
-
-def _positive_cycle_pivot_rows(rows, n):
-    """Payload form of _kernels.positive_cycle_pivot."""
-    d = [list(r) for r in rows]
-    succ = [list(range(n)) for _ in range(n)]
-    for k in range(n):
-        dk = d[k]
-        for i in range(n):
-            dik, dki = d[i][k], dk[i]
-            if dik is not None and dki is not None and dik + dki > 0:
-                return i, k, succ
-        for i in range(n):
-            dik = d[i][k]
-            if dik is None:
-                continue
-            di = d[i]
-            si = succ[i]
-            sik = si[k]
-            for j in range(n):
-                dkj = dk[j]
-                if dkj is None:
-                    continue
-                v = dik + dkj
-                if di[j] is None or v > di[j]:
-                    di[j] = v
-                    si[j] = sik
-    return None
 
 
 def _successor_path(succ, i, j, n):
@@ -839,44 +739,3 @@ def solve_leq(a, b):
     if not a.is_column_regular:
         raise ValueError("matrix must be column-regular")
     return (b.conj() @ a).conj()
-
-
-def _scaled_outer_sum(base, scale, vs, ws):
-    """base + scale * (sum of outer(vs[k], ws[k]) over k), all tropical.
-
-    The rank-one solver's generator assembly.  On int64 arrays (base n x n,
-    vs and ws stacked k x n) it is one max-plus product; on TropMatrix and
-    TropVector operands it is fused so that each pair costs O(n^2).
-    """
-    if not isinstance(base, TropMatrix):
-        return _kernels.scale_max(_kernels.matmul(vs.T, ws), scale, base)
-    m, n = base.shape
-    sp = scale._v if isinstance(scale, TropScalar) else _payload(scale)
-    if not vs:
-        return base
-    acc = [[None] * n for _ in range(m)]
-    for v, w in zip(vs, ws):
-        ve = v._e
-        we = w._e
-        for i in range(m):
-            a = ve[i]
-            if a is None:
-                continue
-            row = acc[i]
-            for j in range(n):
-                b = we[j]
-                if b is None:
-                    continue
-                s = a + b
-                if row[j] is None or s > row[j]:
-                    row[j] = s
-    out = []
-    for i in range(m):
-        brow = base._rows[i]
-        arow = acc[i]
-        out.append(
-            tuple(
-                _p_add(brow[j], _p_mul(arow[j], sp)) for j in range(n)
-            )
-        )
-    return TropMatrix._from_rows(out)

@@ -7,6 +7,7 @@ Column k of the ASCII grid covers the time interval (k-1, k], so a bar
 import pytest
 
 import golden
+from tropsched import charts
 from tropsched import (
     Schedule,
     TropVector,
@@ -120,3 +121,24 @@ class TestSvgGantt:
         sched = Schedule(start=TropVector([0]), finish=TropVector([1]))
         with pytest.raises(ValueError, match="sizes differ"):
             svg_gantt(("a", "b"), sched)
+
+
+class TestSpanCap:
+    """A chart draws one column (or grid line) per time unit, so a span
+    over the cap is refused before anything is drawn."""
+
+    @pytest.mark.parametrize("render", [ascii_gantt, svg_gantt])
+    def test_span_just_over_the_cap(self, render):
+        cap = charts._MAX_SPAN
+        at_cap = Schedule(start=TropVector([cap - 3]), finish=TropVector([cap]))
+        assert "a" in render(("a",), at_cap)
+        over = Schedule(start=TropVector([cap - 3]), finish=TropVector([cap + 1]))
+        with pytest.raises(ValueError, match=f"spans {cap + 1} time units"):
+            render(("a",), over)
+
+    @pytest.mark.parametrize("render", [ascii_gantt, svg_gantt])
+    def test_shifted_origin_counts(self, render):
+        cap = charts._MAX_SPAN
+        over = Schedule(start=TropVector([-1, 0]), finish=TropVector([0, cap]))
+        with pytest.raises(ValueError, match=f"spans {cap + 1} time units"):
+            render(("a", "b"), over)

@@ -37,6 +37,11 @@ start-start a -> b lag=1
 start-start b -> a lag=0
 """
 
+LATE = """\
+activity a release=9999 start-by=9999 finish-by=10001
+start-finish a -> a lag=2
+"""
+
 GOOD_SCHED = """\
 session-1 0 4
 session-2 1 5
@@ -234,6 +239,19 @@ class TestChart:
         path.write_text("{}")
         assert main(["chart", str(path), "--member", "high"]) == 2
         assert "bad result document" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt", ["ascii", "svg"])
+    def test_span_over_the_cap(self, tmp_path, capsys, fmt):
+        # a finishes at 10001, one unit past what a chart draws
+        src = tmp_path / "late.inst"
+        src.write_text(LATE)
+        result = self._result_file(tmp_path, source=str(src))
+        argv = ["chart", result, "--member", "high", "--format", fmt]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "error: cannot chart this schedule" in captured.err
+        assert "spans 10001 time units" in captured.err
+        assert captured.out == ""
 
     def test_short_activity_list(self, tmp_path, capsys):
         path = Path(self._result_file(tmp_path))
@@ -444,9 +462,9 @@ class TestLazyNumpy:
             "m = TropMatrix._from_int_array(np.full((20, 20), -1, dtype=np.int64)).star()\n"
             "assert m._rows == tuple(\n"
             "    tuple(0 if i == j else -1 for j in range(20)) for i in range(20))",
-            "assert _kernels.paths_fit(np.full((20, 20), -1, dtype=np.int64))",
+            "assert _kernels.span_fits(19, np.full((20, 20), -1, dtype=np.int64))",
         ],
-        ids=["star", "paths_fit"],
+        ids=["star", "span_fits"],
     )
     def test_kernels_work_as_the_first_call(self, first_call):
         _fresh_interpreter(

@@ -1,5 +1,6 @@
 """Rank-one and general conjugate-quadratic minimization."""
 
+import dataclasses
 import random
 
 from fractions import Fraction
@@ -27,7 +28,8 @@ from tropsched import (
     solve_rank_one,
 )
 from tropsched import _kernels, optimize
-from tropsched.optimize import _rank_one_int64
+from tropsched.optimize import _rank_one
+from tropsched.semiring import _operands
 
 N = None
 
@@ -278,6 +280,35 @@ class TestValidation:
                 h=ones,
             )
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(1, 6),
+        st.sampled_from([0.3, 0.6, 0.8, 0.9]),
+        st.integers(0, 2**32),
+        st.sampled_from([1, Fraction(1, 3), 0.5]),
+    )
+    def test_degeneracy_matches_the_spectral_radius(self, n, p_bottom, seed, unit):
+        # the check reads the closure's diagonal; A is degenerate exactly
+        # when its spectral radius is bottom, positive cycles included
+        rng = random.Random(seed)
+        A = TropMatrix(
+            [
+                [N if rng.random() < p_bottom else rng.randint(-3, 3) * unit
+                 for _ in range(n)]
+                for _ in range(n)
+            ]
+        )
+        ones = TropVector.ones(n)
+
+        def build():
+            return GeneralProblem(A=A, B=TropMatrix.zeros(n), g=ones, h=ones)
+
+        if A.spectral_radius().is_bottom:
+            with pytest.raises(ValueError, match="degenerate objective"):
+                build()
+        else:
+            build()
+
     def test_inconsistent_family_bounds(self):
         with pytest.raises(ValueError, match="inconsistent bounds"):
             SolutionFamily(
@@ -375,6 +406,13 @@ def same_family(a, b):
     return (a.theta, a.G, a.u_high) == (b.theta, b.G, b.u_high)
 
 
+def on_kernels(prob, star):
+    """Whether `_rank_one` ran `prob` on the int64 kernels: only they leave
+    the generator holding its array."""
+    _, G, _ = _rank_one(prob, star)
+    return G._held_int_array() is not None
+
+
 class TestInt64Path:
     """The array solve must give exactly the payload solve's family."""
 
@@ -384,8 +422,7 @@ class TestInt64Path:
         fast, slow = solve_both(solve_rank_one, lambda: potential_problem(seed, n))
         assert same_family(fast, slow)
         prob = potential_problem(seed, n)
-        admitted = _rank_one_int64(prob, prob.B.star()) is not None
-        assert admitted == (n >= 20)
+        assert on_kernels(prob, prob.B.star()) == (n >= 20)
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(15, 45), st.integers(0, 2**32))
@@ -419,8 +456,24 @@ class TestInt64Path:
         assert same_family(fast, slow)
         assert fast.u_high[0] == TropScalar(-(19 * 107 + 256))
         prob = build()
-        assert _kernels.paths_fit(prob.B._int_array())
-        assert _rank_one_int64(prob, prob.B.star()) is None
+        assert _operands([prob.B], span=n - 1)[0] is _kernels
+        assert not on_kernels(prob, prob.B.star())
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_held_array_below_20_variables(self, n):
+        # a B that already holds its array takes the kernels at any size;
+        # at n = 1 there are no chain terms, so the kernel dot sees empty
+        # input and the generator is B* itself
+        for seed in range(8):
+            def build():
+                prob = potential_problem(seed, n)
+                arr = _kernels.from_payload_rows(prob.B._rows)
+                return dataclasses.replace(prob, B=TropMatrix._from_int_array(arr))
+
+            fast, slow = solve_both(solve_rank_one, build)
+            assert same_family(fast, slow)
+            assert fast.G._held_int_array() is not None
+            assert same_family(fast, solve_rank_one(potential_problem(seed, n)))
 
     def test_drifted_bottom_in_B_stays_bottom(self, small_sentinels):
         # B is a kernel output whose bottom entry [18, 17] sits just below
@@ -450,7 +503,7 @@ class TestInt64Path:
         prob = RankOneProblem(
             p=e0, q=e0, B=drifted, g=TropVector.zeros(n), h=TropVector.ones(n)
         )
-        assert _rank_one_int64(prob, drifted.star()) is not None
+        assert on_kernels(prob, drifted.star())
 
 
 def full_length_reference(prob):
@@ -553,14 +606,16 @@ class TestChainCut:
                 prob = scaled(prob, lambda x: Fraction(x, 3))
         # the payload solve itself: rounded float data can fail
         # SolutionFamily's u_low <= u_high check, on either formula
-        got = optimize._rank_one_payload(prob, prob.B.star())
+        got = _rank_one(prob, prob.B.star())
+        assert got[1]._held_int_array() is None
         assert got == full_length_reference(prob)
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(20, 45), st.integers(0, 2**32))
     def test_int64_parity(self, n, seed):
         prob = potential_problem(seed, n)
-        got = _rank_one_int64(prob, prob.B.star())
+        got = _rank_one(prob, prob.B.star())
+        assert got[1]._held_int_array() is not None
         assert got == full_length_reference(prob)
 
     @settings(
@@ -579,7 +634,7 @@ class TestChainCut:
             arr[i, j] = rng.randint(_kernels.NEG, _kernels.BOTTOM_CUTOFF)
         B = TropMatrix._from_int_array(arr)
         prob = RankOneProblem(p=base.p, q=base.q, B=B, g=base.g, h=base.h)
-        assert _rank_one_int64(prob, B.star()) is not None
+        assert on_kernels(prob, B.star())
         fam = solve_rank_one(prob)
         plain = RankOneProblem(
             p=base.p, q=base.q, B=TropMatrix(B._rows), g=base.g, h=base.h
@@ -641,7 +696,7 @@ class TestChainCut:
             g=TropVector.zeros(n),
             h=TropVector.ones(n),
         )
-        assert _rank_one_int64(prob, prob.B.star()) is not None
+        assert on_kernels(prob, prob.B.star())
         assert matches_reference(prob)
         assert chain_terms[-1][:2] == (0, 0)
 

@@ -26,9 +26,9 @@ from tropsched import (
     solve_makespan,
     verify_schedule,
 )
-from tropsched import _kernels
+from tropsched import _kernels, _loops
 from tropsched.scheduling import _auto_tol, _violations
-from tropsched.semiring import _MISSING, _mul_rows, _p_str
+from tropsched.semiring import _MISSING, _p_str
 
 N = None
 
@@ -61,7 +61,7 @@ class TestReduction:
 def payload_reduction(inst):
     """R = B + D C on payloads alone."""
     dc = TropMatrix._from_rows(
-        _mul_rows(inst.finish_start._rows, inst.start_finish._rows)
+        _loops.matmul(inst.finish_start._rows, inst.start_finish._rows)
     )
     return inst.start_start + dc
 

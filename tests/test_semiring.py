@@ -18,10 +18,8 @@ from tropsched import (
     outer,
     solve_leq,
 )
-from tropsched import _kernels
+from tropsched import _kernels, _loops
 from tropsched.semiring import (
-    _closure_rows,
-    _mul_rows,
     _successor_path,
     _trim_to_positive_cycle,
 )
@@ -477,7 +475,7 @@ class TestFastKernelParity:
         for _ in range(6):
             a = TropMatrix(self._rand_rows(rng, 40))
             b = TropMatrix(self._rand_rows(rng, 40))
-            assert a @ b == TropMatrix._from_rows(_mul_rows(a._rows, b._rows))
+            assert a @ b == TropMatrix._from_rows(_loops.matmul(a._rows, b._rows))
 
     def test_matvec_parity(self):
         rng = random.Random(102)
@@ -495,7 +493,7 @@ class TestFastKernelParity:
         rng = random.Random(103)
         for _ in range(4):
             a = TropMatrix(self._rand_rows(rng, 30, lo=-9, hi=-1, p_bottom=0.5))
-            d = _closure_rows(a._rows, 30)
+            d = _loops.closure(a._rows)
             for i in range(30):
                 d[i][i] = 0
             assert a.star() == TropMatrix._from_rows(d)
@@ -506,7 +504,8 @@ class TestFastKernelParity:
                 [-(1 << 8) if j == i - 1 else N for j in range(n)]
                 for i in range(n)
             ]
-            assert _kernels.paths_fit(_kernels.from_payload_rows(rows)) is fits
+            arr = _kernels.from_payload_rows(rows)
+            assert _kernels.span_fits(n - 1, arr) is fits
         assert TropMatrix(rows).star()[29, 0] == TropScalar(-29 << 8)
 
     def test_drifted_bottom_stays_bottom(self, small_sentinels):
@@ -531,7 +530,7 @@ class TestFastKernelParity:
         b_rows[4][4] = 0
         b = TropMatrix(b_rows)
         prod = a @ b
-        assert prod == TropMatrix._from_rows(_mul_rows(a._rows, b._rows))
+        assert prod == TropMatrix._from_rows(_loops.matmul(a._rows, b._rows))
         assert prod[3, 4].value >= 2 ** 60
 
     def test_float_entries_fall_back(self):
@@ -539,7 +538,7 @@ class TestFastKernelParity:
         rows = self._rand_rows(rng, 40)
         rows[0][0] = 0.5
         a = TropMatrix(rows)
-        assert (a @ a) == TropMatrix._from_rows(_mul_rows(a._rows, a._rows))
+        assert (a @ a) == TropMatrix._from_rows(_loops.matmul(a._rows, a._rows))
 
     def test_fraction_entries(self):
         a = TropMatrix([[Fraction(1, 2), N], [1, Fraction(-3, 2)]])
