@@ -22,17 +22,33 @@ of B^i p and q~ B^j, i, j <= n - 2; it keeps only some) stay within
 (4n - 2) M, and h~ G within (4n - 1) M; a bottom drifts by at most the same
 sums.  It asks `span_fits` of 4n.
 
-Project networks are sparse, so `closure`, `positive_cycle_pivot` and
-`matmul` work only on finite entries while those are under a quarter of
-the work.  At pivot k the closure updates d[i][j] only for rows with a
-finite d[i][k] and columns with a finite d[k][j]; any other sum through k
-has a bottom term, is a bottom itself and so can raise no finite entry.
-The finite sums it does form are path sums, exact by the star's bound.  It
+Project networks are sparse, so `closure`, `positive_cycle_pivot`,
+`matmul` and `running_maxima` work only on finite entries while those are
+under a quarter of the work (`_sparse`), and above that share take the
+dense slice update, whose drift the bounds above cover; the worst case
+stays O(n^3).
+
+At pivot k the closure updates d[i][j] only for rows with a finite
+d[i][k] and columns with a finite d[k][j]; any other sum through k has a
+bottom term, is a bottom itself and so can raise no finite entry.  The
+finite sums it does form are path sums, exact by the star's bound.  It
 writes only those sums, never a bottom plus a finite value, so it adds no
 drift: bottoms stay at the sentinel until a finite path reaches them.
-`matmul` skips the bottom entries of each row of a for the same reason.
-Above that share a kernel takes the dense slice update, whose drift the
-bounds above cover; the worst case stays O(n^3).
+
+`matmul` accumulates over the inner index k: it adds row k of b to column
+k of a only at the rows with a finite a[i][k] (at every row once that
+column is dense) and skips a column with no finite entry, since a sum with
+a bottom a[i][k] is a bottom and can raise no finite entry.  Row k of b is
+taken whole, so a bottom b[k][j] plus a finite a[i][k] is formed, as the
+dense product forms it: the bottom's drift grows by |a[i][k]| <= M, one
+more entry of the sums the bounds above count, so the sum stays at or
+below the cutoff and reads back as bottom.
+
+`running_maxima` gathers the finite entries of b (of b.T for x b) once,
+row by row, and each step takes the largest b[i][j] + x[j] over a row's
+entries with one `np.maximum.reduceat`.  It forms no sum with a bottom
+b[i][j]; a bottom x[j] plus a finite b[i][j] drifts by one entry, and
+every step resets its bottoms to the sentinel.
 
 `json_rows` encodes an array for the result document through a token
 table: one JSON token per distinct value (null at or below the cutoff),
@@ -109,15 +125,13 @@ def from_entries(shape, entries):
 
 
 def from_payload_vec(entries):
-    out = np.empty(len(entries), dtype=np.int64)
-    for i, v in enumerate(entries):
-        if v is None:
-            out[i] = NEG
-        elif type(v) is int and -MAG_CAP <= v <= MAG_CAP:
-            out[i] = v
-        else:
-            return None
-    return out
+    """int64 array for an integer payload vector, or None if not
+    representable."""
+    if not all(
+        v is None or (type(v) is int and -MAG_CAP <= v <= MAG_CAP) for v in entries
+    ):
+        return None
+    return np.array([NEG if v is None else v for v in entries], dtype=np.int64)
 
 
 def to_payload_rows(arr):
@@ -149,16 +163,17 @@ def _sparse(count, size):
 
 
 def matmul(a, b):
-    """a b, each row of `a` taking only its finite entries when sparse."""
-    out = np.empty((a.shape[0], b.shape[1]), dtype=np.int64)
-    k = a.shape[1]
+    """a b, accumulated over the inner index k: column k of `a` meets row k
+    of `b` only at its finite rows while those are sparse, at every row
+    once it is dense, and not at all when it has no finite entry."""
+    out = np.full((a.shape[0], b.shape[1]), NEG, dtype=np.int64)
     finite = a > BOTTOM_CUTOFF
-    for i in range(a.shape[0]):
-        idx = finite[i].nonzero()[0]
-        if _sparse(idx.size, k):
-            np.max(a[i, idx, None] + b[idx], axis=0, out=out[i], initial=NEG)
+    for k in finite.any(axis=0).nonzero()[0]:
+        rows = finite[:, k].nonzero()[0]
+        if _sparse(rows.size, a.shape[0]):
+            out[rows] = np.maximum(out[rows], a[rows, k, None] + b[k])
         else:
-            np.max(a[i, :, None] + b, axis=0, out=out[i], initial=NEG)
+            np.maximum(out, a[:, k, None] + b[k], out=out)
     return out
 
 
@@ -187,12 +202,15 @@ def _reset_bottom(a):
     return np.where(a > BOTTOM_CUTOFF, a, NEG)
 
 
-def _pivot_support(d, k):
-    """Rows i with a finite d[i][k] and columns j with a finite d[k][j]."""
-    return (
-        (d[:, k] > BOTTOM_CUTOFF).nonzero()[0],
-        (d[k] > BOTTOM_CUTOFF).nonzero()[0],
-    )
+def _pivot_block(d, k):
+    """Index of the block of `d` that pivot k can raise, rows i with a
+    finite d[i][k] (as a column) by columns j with a finite d[k][j]; None
+    when that block is too large to gather."""
+    rows = (d[:, k] > BOTTOM_CUTOFF).nonzero()[0]
+    cols = (d[k] > BOTTOM_CUTOFF).nonzero()[0]
+    if _sparse(rows.size * cols.size, d.size):
+        return rows[:, None], cols
+    return None
 
 
 def max_product(b, d, c):
@@ -205,15 +223,14 @@ def max_product(b, d, c):
 def closure(a):
     """Floyd-Warshall transitive closure A+ (max-plus), input left intact."""
     d = _reset_bottom(a)
-    n = d.shape[0]
-    for k in range(n):
-        rows, cols = _pivot_support(d, k)
-        if _sparse(rows.size * cols.size, n * n):
-            block = np.ix_(rows, cols)
-            d[block] = np.maximum(d[block], d[rows, k, None] + d[k, cols])
-        else:
+    for k in range(d.shape[0]):
+        block = _pivot_block(d, k)
+        if block is None:
             np.maximum(d, d[:, k, None] + d[None, k, :], out=d)
             np.maximum(d, NEG, out=d)
+        else:
+            rows, cols = block
+            d[block] = np.maximum(d[block], d[rows, k] + d[k, cols])
     return d
 
 
@@ -241,33 +258,51 @@ def positive_cycle_pivot(a):
         hits = (d[:, k] + d[k] > 0).nonzero()[0]
         if hits.size:
             return int(hits[0]), k, succ
-        rows, cols = _pivot_support(d, k)
-        if _sparse(rows.size * cols.size, n * n):
-            block = np.ix_(rows, cols)
-            sub, via = d[block], succ[block]
-            through = d[rows, k, None] + d[k, cols]
-            better = through > sub
-            np.copyto(sub, through, where=better)
-            np.copyto(via, succ[rows, k, None], where=better)
-            d[block], succ[block] = sub, via
-        else:
+        block = _pivot_block(d, k)
+        if block is None:
             through = d[:, k, None] + d[None, k, :]
             better = through > d
             np.copyto(d, through, where=better)
             np.copyto(succ, succ[:, k, None], where=better)
+        else:
+            rows, cols = block
+            sub, via = d[block], succ[block]
+            through = d[rows, k] + d[k, cols]
+            better = through > sub
+            np.copyto(sub, through, where=better)
+            np.copyto(via, succ[rows, k], where=better)
+            d[block], succ[block] = sub, via
     return None
 
 
 def running_maxima(b, x, cap, left=False):
     """Rows x, x max b x, ... (x b when `left`) up to row cap, stopped
     before the first repeat; bottoms are reset at every step, so a drifted
-    one cannot hide a repeat."""
+    one cannot hide a repeat.
+
+    While b is sparse a step reads only its finite entries, gathered once
+    row by row (of b.T when `left`): row i of the step is the largest
+    b[i][j] + x[j] over its entries, and a row with none stays bottom.
+    """
     b = _reset_bottom(b)
+    m = b.T if left else b
+    ri, ci = (m > BOTTOM_CUTOFF).nonzero()
+    sparse = _sparse(ri.size, m.size)
+    if sparse:
+        vals = m[ri, ci]
+        starts = np.flatnonzero(np.diff(ri, prepend=-1))
+        heads = ri[starts]
     rows = [_reset_bottom(x)]
     for _ in range(cap):
-        step = vecmat(rows[-1], b) if left else matvec(b, rows[-1])
-        nxt = _reset_bottom(np.maximum(rows[-1], step))
-        if np.array_equal(nxt, rows[-1]):
+        cur = rows[-1]
+        if sparse:
+            nxt = cur.copy()
+            step = _reset_bottom(np.maximum.reduceat(vals + cur[ci], starts))
+            nxt[heads] = np.maximum(cur[heads], step)
+        else:
+            step = vecmat(cur, b) if left else matvec(b, cur)
+            nxt = _reset_bottom(np.maximum(cur, step))
+        if np.array_equal(nxt, cur):
             break
         rows.append(nxt)
     return np.stack(rows)

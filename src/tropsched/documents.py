@@ -66,19 +66,27 @@ class InstanceFormatError(ValueError):
 
 def _parse_number(tok, mode, line):
     if mode == "exact":
-        if not _EXACT_NUM_RE.match(tok):
+        # isdecimal() accepts exactly the pattern's unsigned \d+, the common case
+        if not (tok.isdecimal() or _EXACT_NUM_RE.match(tok)):
             hint = (
                 " (scientific notation is not allowed in exact mode)"
                 if "e" in tok.lower()
                 else ""
             )
             raise InstanceFormatError(f"bad number {tok!r}{hint}", line=line)
-        if "." not in tok and "/" not in tok:
-            return int(tok)
         try:
-            return Fraction(tok)
+            if "." in tok or "/" in tok:
+                return Fraction(tok)
+            return int(tok)
         except ZeroDivisionError:
             raise InstanceFormatError(f"bad number {tok!r}: zero denominator", line=line)
+        except ValueError:
+            # past the interpreter's limit on the digits of an int (4,300
+            # by default), so the token is long: show its start
+            shown = tok[:20] + "..."
+            raise InstanceFormatError(
+                f"bad number {shown!r}: too many digits ({len(tok)})", line=line
+            )
     try:
         v = float(tok)
     except ValueError:
@@ -194,7 +202,9 @@ def parse_instance(text, *, mode="exact", diagonal_one=True):
             )
         seen.add(key)
         # "src -> dst" bounds dst from src: row dst, column src
-        finite[kind].append((index[dst], index[src], TropScalar(lag).value))
+        if type(lag) is not int:
+            lag = TropScalar(lag).value
+        finite[kind].append((index[dst], index[src], lag))
 
     sf_sources = {j for _, j, _ in finite["start-finish"]}
     for j, name in enumerate(names):

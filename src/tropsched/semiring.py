@@ -567,7 +567,7 @@ class TropMatrix:
         k, (a,), _ = _operands([self], span=self._nrows - 1)
         closed = k.star(a)
         if closed is None:
-            cycle, weight = _positive_cycle_witness(k, a, self._rows)
+            cycle, weight = _positive_cycle_witness(k, a)
             raise PositiveCycleError(cycle, _scalar(weight))
         return _matrix(k, closed)
 
@@ -660,27 +660,35 @@ def _matrix(k, form):
     return TropMatrix._from_rows(form)
 
 
-def _positive_cycle_witness(k, a, rows):
+def _positive_cycle_witness(k, a):
     """Find an elementary cycle of positive weight; returns (nodes, weight).
 
     One Floyd-Warshall pass with successor pointers, stopped at the first
     pivot k where some d[i][k] + d[k][i] > 0.  No earlier pivot closed a
     positive cycle, so the successor walks i -> k and k -> i are longest
     paths and together form a positive closed walk, which is then trimmed
-    to an elementary cycle.  The pass runs on the backend module given as
-    `k`, over `a`, the form of the payload `rows` that `_operands` gave.
+    to an elementary cycle.  Everything runs on `a`, the matrix in the form
+    of the backend module given as `k` (`_operands`): the pass on k, and
+    the diagonal and the walk's edges read as a[u][v], which payload rows
+    and int64 arrays both answer, so the matrix is never converted.  The
+    weight is a payload either way.
     """
-    n = len(rows)
+    n = len(a)
     for i in range(n):
-        v = rows[i][i]
+        v = a[i][i]
         if v is not None and v > 0:
-            return (i,), v
-    hit = k.positive_cycle_pivot(a)
-    if hit is None:
-        raise AssertionError("no positive cycle found despite positive diagonal")
-    i, k, succ = hit
-    walk = _successor_path(succ, i, k, n) + _successor_path(succ, k, i, n)[1:]
-    return _trim_to_positive_cycle(rows, walk)
+            walk = [i, i]
+            break
+    else:
+        hit = k.positive_cycle_pivot(a)
+        if hit is None:
+            raise AssertionError("no positive cycle found despite positive diagonal")
+        i, pivot, succ = hit
+        walk = _successor_path(succ, i, pivot, n)
+        walk += _successor_path(succ, pivot, i, n)[1:]
+    cycle, weight = _trim_to_positive_cycle(a, walk)
+    # an int64 entry reads as a numpy integer
+    return cycle, int(weight) if k is _kernels else weight
 
 
 def _successor_path(succ, i, j, n):
@@ -695,15 +703,15 @@ def _successor_path(succ, i, j, n):
     raise AssertionError("successor pointers do not lead to the target")
 
 
-def _trim_to_positive_cycle(rows, walk):
-    """Trim a closed walk of positive weight to an elementary positive cycle
-    by splicing out non-positive sub-cycles."""
+def _trim_to_positive_cycle(a, walk):
+    """Trim a closed walk of positive weight in the matrix `a` to an
+    elementary positive cycle by splicing out non-positive sub-cycles."""
     stack = [walk[0]]
     cums = [0]
     pos = {walk[0]: 0}
     cum = 0
     for node in walk[1:]:
-        cum = cum + rows[stack[-1]][node]
+        cum = cum + a[stack[-1]][node]
         if node in pos:
             t0 = pos[node]
             cw = cum - cums[t0]

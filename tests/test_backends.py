@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tropsched import TropMatrix, _kernels, _loops
+from tropsched import PositiveCycleError, TropMatrix, _kernels, _loops
 from tropsched.semiring import _operands, _successor_path
 
 N = None
@@ -125,6 +125,38 @@ class TestPayloadKernelsMatchInt64:
         assert loops_rows(got) == rows(want)
         idx = list(range(len(got)))[::-2]
         assert loops_rows(_loops.take(got, idx)) == rows(_kernels.take(want, idx))
+
+
+def no_boxing(arr):
+    raise AssertionError("the int64 array was boxed into payload rows")
+
+
+class TestWitnessOnKernels:
+    """An infeasible star on the int64 kernels finds its witness on the
+    array itself and reports what the payload backend reports."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(20, 45), BOTTOMS, SEEDS, st.booleans())
+    def test_same_cycle_without_boxing(self, n, bottoms, seed, loops):
+        # hi = 2 often closes a positive cycle; `loops` allows one-node ones
+        rng = np.random.default_rng(seed)
+        a = rand_array(rng, (n, n), bottoms, hi=2)
+        if not loops:
+            np.fill_diagonal(a, _kernels.NEG)
+        if _kernels.star(a) is not None:
+            return
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernels, "to_payload_rows", no_boxing)
+            with pytest.raises(PositiveCycleError) as got:
+                TropMatrix._from_int_array(a).star()
+        assert type(got.value.weight.value) is int
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernels, "available", lambda: False)
+            with pytest.raises(PositiveCycleError) as want:
+                TropMatrix._from_rows(rows(a)).star()
+        assert got.value.cycle == want.value.cycle
+        assert got.value.weight == want.value.weight
+        assert str(got.value) == str(want.value)
 
 
 def matrix(n, value=0):

@@ -172,6 +172,31 @@ class TestSolve:
         assert "line 1" in err
         assert "scientific notation" in err
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            (
+                "finish-by=12",
+                "finish-by=" + "9" * 5000,
+                "line 5: bad number '99999999999999999999...': too many digits (5000)",
+            ),
+            (
+                "lag=1\n",
+                "lag=1." + "5" * 5000 + "\n",
+                "line 12: bad number '1.555555555555555555...': too many digits (5002)",
+            ),
+        ],
+        ids=["finish-by", "decimal-lag"],
+    )
+    def test_number_past_the_digit_limit_is_exit_2(
+        self, tmp_path, capsys, old, new, message
+    ):
+        # more digits than the interpreter converts to an int (4,300)
+        path = tmp_path / "huge.inst"
+        path.write_text(Path(INSTANCE).read_text().replace(old, new, 1))
+        assert main(["solve", str(path), "--objective", "makespan"]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
     def test_infeasible(self, tmp_path, capsys):
         path = tmp_path / "cyclic.inst"
         path.write_text(CYCLIC)
@@ -288,6 +313,15 @@ class TestVerify:
         path.write_text(GOOD_SCHED + "session-9 0 1\n")
         assert main(["verify", INSTANCE, str(path)]) == 2
         assert "schedule has unknown activities: session-9" in capsys.readouterr().err
+
+    def test_number_past_the_digit_limit_is_exit_2(self, tmp_path, capsys):
+        # more digits than the interpreter converts to an int (4,300)
+        path = tmp_path / "huge.sched"
+        path.write_text(GOOD_SCHED.replace("session-2 1 5", "session-2 1 " + "9" * 5000))
+        assert main(["verify", INSTANCE, str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: line 2: bad number '{'9' * 20}...': too many digits (5000)\n"
+        )
 
     def test_missing_instance(self, capsys):
         assert main(["verify", "/nonexistent.inst", SCHEDULE]) == 2

@@ -283,6 +283,10 @@ class TestParseErrors:
         assert "zero denominator" in str(
             self._err("activity a start-by=1/0 finish-by=9\n")
         )
+        # a superscript two is a digit to str.isdigit() but not to int()
+        assert str(self._err("activity a start-by=\u00b2 finish-by=9\n")) == (
+            "line 1: bad number '\u00b2'"
+        )
         e = self._err(
             "activity a start-by=nan finish-by=9\n"
             "start-finish a -> a lag=1\n",

@@ -581,6 +581,25 @@ def dense_positive_cycle_pivot(a):
     return None
 
 
+def dense_running_maxima(b, x, cap, left=False):
+    def reset(arr):
+        return np.where(arr > _kernels.BOTTOM_CUTOFF, arr, _kernels.NEG)
+
+    b = reset(b)
+    rows = [reset(x)]
+    for _ in range(cap):
+        cur = rows[-1]
+        if left:
+            step = np.max(cur[:, None] + b, axis=0, initial=_kernels.NEG)
+        else:
+            step = np.max(b + cur[None, :], axis=1, initial=_kernels.NEG)
+        nxt = reset(np.maximum(cur, step))
+        if np.array_equal(nxt, cur):
+            break
+        rows.append(nxt)
+    return np.stack(rows)
+
+
 def rand_array(seed, shape, share, lo, hi, drift=False):
     """int64 matrix with about `share` finite entries in [lo, hi]; with
     `drift`, its bottoms sit anywhere in the lower half of the range
@@ -597,6 +616,18 @@ def rand_array(seed, shape, share, lo, hi, drift=False):
     return arr
 
 
+def blank_lines(seed, arr, drift=False):
+    """Make about a quarter of the rows and of the columns of `arr` wholly
+    bottom: at the sentinel, or with `drift` at a drifted bottom."""
+    rng = np.random.default_rng(seed)
+    bottom = _kernels.NEG
+    if drift:
+        bottom = (_kernels.NEG + _kernels.BOTTOM_CUTOFF) // 2
+    arr[rng.random(arr.shape[0]) < 0.25] = bottom
+    arr[:, rng.random(arr.shape[1]) < 0.25] = bottom
+    return arr
+
+
 def payloads(arr):
     return _kernels.to_payload_rows(arr)
 
@@ -606,8 +637,8 @@ def witness_walk(hit, n):
     return _successor_path(succ, i, k, n) + _successor_path(succ, k, i, n)[1:]
 
 
-# finite shares: project-network sparse, mixed, and fully dense
-SHARES = st.sampled_from([0.02, 0.05, 0.1, 0.3, 0.6, 1.0])
+# finite shares: none, project-network sparse, mixed, and fully dense
+SHARES = st.sampled_from([0.0, 0.02, 0.05, 0.1, 0.3, 0.6, 1.0])
 SEEDS = st.integers(0, 2**32)
 
 
@@ -625,6 +656,23 @@ class TestSparseKernelParity:
         a = rand_array(seed, (m, k), share, -9, 9, drift)
         b = rand_array(seed + 1, (k, n), share, -9, 9, drift)
         assert payloads(_kernels.matmul(a, b)) == payloads(dense_matmul(a, b))
+
+    def _matmul_shapes(self, n, t, share, seed, drift=False):
+        # the generator's outer product, a row times a matrix, and a thin
+        # product, with whole rows and columns of each factor bottom
+        for m, k, p in ((n, 1, n), (1, n, n), (n, t, n)):
+            a = blank_lines(seed + 2, rand_array(seed, (m, k), share, -9, 9, drift), drift)
+            b = blank_lines(seed + 3, rand_array(seed + 1, (k, p), share, -9, 9, drift), drift)
+            assert payloads(_kernels.matmul(a, b)) == payloads(dense_matmul(a, b))
+
+    def _running_maxima(self, n, share, seed, drift=False):
+        # positive entries keep the chains growing up to the cap; a sparse
+        # start leaves rows whose entries meet only bottoms of x
+        b = rand_array(seed, (n, n), share, -9, 1, drift)
+        x = rand_array(seed + 1, n, 0.1, -9, 9, drift)
+        for left in (False, True):
+            got = _kernels.running_maxima(b, x, n - 2, left=left)
+            assert payloads(got) == payloads(dense_running_maxima(b, x, n - 2, left))
 
     def _pivot(self, n, share, seed, drift=False):
         a = rand_array(seed, (n, n), share, -9, 2, drift)
@@ -655,6 +703,16 @@ class TestSparseKernelParity:
     def test_positive_cycle_pivot(self, n, share, seed):
         self._pivot(n, share, seed)
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 40), SHARES, SEEDS)
+    def test_matmul_shapes(self, n, t, share, seed):
+        self._matmul_shapes(n, t, share, seed)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 60), SHARES, SEEDS)
+    def test_running_maxima(self, n, share, seed):
+        self._running_maxima(n, share, seed)
+
     @settings(
         max_examples=30,
         deadline=None,
@@ -664,6 +722,8 @@ class TestSparseKernelParity:
     def test_drifted_bottoms(self, small_sentinels, n, share, seed):
         self._closure(n, share, seed, drift=True)
         self._matmul(n, n, n, share, seed, drift=True)
+        self._matmul_shapes(n, n // 2 + 1, share, seed, drift=True)
+        self._running_maxima(n, share, seed, drift=True)
         self._pivot(n, share, seed, drift=True)
 
     def test_restricted_closure_adds_no_drift(self, small_sentinels):
