@@ -22,11 +22,10 @@ of B^i p and q~ B^j, i, j <= n - 2; it keeps only some) stay within
 (4n - 2) M, and h~ G within (4n - 1) M; a bottom drifts by at most the same
 sums.  It asks `span_fits` of 4n.
 
-Project networks are sparse, so `closure`, `positive_cycle_pivot`,
-`matmul` and `running_maxima` work only on finite entries while those are
-under a quarter of the work (`_sparse`), and above that share take the
-dense slice update, whose drift the bounds above cover; the worst case
-stays O(n^3).
+Project networks are sparse, so `closure`, `positive_cycle_pivot` and
+`matmul` work only on finite entries while those are under a quarter of
+the work (`_sparse`), and above that share take the dense slice update,
+whose drift the bounds above cover; the worst case stays O(n^3).
 
 At pivot k the closure updates d[i][j] only for rows with a finite
 d[i][k] and columns with a finite d[k][j]; any other sum through k has a
@@ -45,7 +44,7 @@ more entry of the sums the bounds above count, so the sum stays at or
 below the cutoff and reads back as bottom.
 
 `running_maxima` gathers the finite entries of b (of b.T for x b) once,
-row by row, and each step takes the largest b[i][j] + x[j] over a row's
+row by row, however dense b is, and each step takes the largest b[i][j] + x[j] over a row's
 entries with one `np.maximum.reduceat`.  It forms no sum with a bottom
 b[i][j]; a bottom x[j] plus a finite b[i][j] drifts by one entry, and
 every step resets its bottoms to the sentinel.
@@ -65,7 +64,8 @@ MAG_CAP = 1 << 50
 BOTTOM_CUTOFF = -(1 << 61)
 # a kernel gathers finite entries while they are under 1/4 of the work:
 # near where a gathered closure pivot costs as much as a dense one (1/5 to
-# 1/4 at n = 400); a product row gathers profitably up to about 1/2
+# 1/4 at n = 400); the witness pivots and the matmul columns reuse it
+# unmeasured
 _DENSE_SHARE = 4
 
 
@@ -280,28 +280,21 @@ def running_maxima(b, x, cap, left=False):
     before the first repeat; bottoms are reset at every step, so a drifted
     one cannot hide a repeat.
 
-    While b is sparse a step reads only its finite entries, gathered once
-    row by row (of b.T when `left`): row i of the step is the largest
-    b[i][j] + x[j] over its entries, and a row with none stays bottom.
+    A step reads only the finite entries of b, gathered once row by row
+    (of b.T when `left`): row i of the step is the largest b[i][j] + x[j]
+    over its entries, and a row with none stays bottom.
     """
-    b = _reset_bottom(b)
     m = b.T if left else b
     ri, ci = (m > BOTTOM_CUTOFF).nonzero()
-    sparse = _sparse(ri.size, m.size)
-    if sparse:
-        vals = m[ri, ci]
-        starts = np.flatnonzero(np.diff(ri, prepend=-1))
-        heads = ri[starts]
+    vals = m[ri, ci]
+    starts = np.flatnonzero(np.diff(ri, prepend=-1))
+    heads = ri[starts]
     rows = [_reset_bottom(x)]
     for _ in range(cap):
         cur = rows[-1]
-        if sparse:
-            nxt = cur.copy()
-            step = _reset_bottom(np.maximum.reduceat(vals + cur[ci], starts))
-            nxt[heads] = np.maximum(cur[heads], step)
-        else:
-            step = vecmat(cur, b) if left else matvec(b, cur)
-            nxt = _reset_bottom(np.maximum(cur, step))
+        nxt = cur.copy()
+        step = _reset_bottom(np.maximum.reduceat(vals + cur[ci], starts))
+        nxt[heads] = np.maximum(cur[heads], step)
         if np.array_equal(nxt, cur):
             break
         rows.append(nxt)

@@ -84,8 +84,9 @@ def _parse_number(tok, mode, line):
             # past the interpreter's limit on the digits of an int (4,300
             # by default), so the token is long: show its start
             shown = tok[:20] + "..."
+            digits = sum(c.isdecimal() for c in tok)
             raise InstanceFormatError(
-                f"bad number {shown!r}: too many digits ({len(tok)})", line=line
+                f"bad number {shown!r}: too many digits ({digits})", line=line
             )
     try:
         v = float(tok)

@@ -183,7 +183,7 @@ class TestSolve:
             (
                 "lag=1\n",
                 "lag=1." + "5" * 5000 + "\n",
-                "line 12: bad number '1.555555555555555555...': too many digits (5002)",
+                "line 12: bad number '1.555555555555555555...': too many digits (5001)",
             ),
         ],
         ids=["finish-by", "decimal-lag"],

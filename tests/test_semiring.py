@@ -652,18 +652,14 @@ class TestSparseKernelParity:
         a = rand_array(seed, (n, n), share, -9, 0, drift)
         assert payloads(_kernels.closure(a)) == payloads(dense_closure(a))
 
-    def _matmul(self, m, k, n, share, seed, drift=False):
+    def _matmul(self, m, k, n, share, seed, drift=False, blank=False):
+        # with `blank`, whole rows and columns of each factor are bottom
         a = rand_array(seed, (m, k), share, -9, 9, drift)
         b = rand_array(seed + 1, (k, n), share, -9, 9, drift)
+        if blank:
+            a = blank_lines(seed + 2, a, drift)
+            b = blank_lines(seed + 3, b, drift)
         assert payloads(_kernels.matmul(a, b)) == payloads(dense_matmul(a, b))
-
-    def _matmul_shapes(self, n, t, share, seed, drift=False):
-        # the generator's outer product, a row times a matrix, and a thin
-        # product, with whole rows and columns of each factor bottom
-        for m, k, p in ((n, 1, n), (1, n, n), (n, t, n)):
-            a = blank_lines(seed + 2, rand_array(seed, (m, k), share, -9, 9, drift), drift)
-            b = blank_lines(seed + 3, rand_array(seed + 1, (k, p), share, -9, 9, drift), drift)
-            assert payloads(_kernels.matmul(a, b)) == payloads(dense_matmul(a, b))
 
     def _running_maxima(self, n, share, seed, drift=False):
         # positive entries keep the chains growing up to the cap; a sparse
@@ -694,19 +690,21 @@ class TestSparseKernelParity:
         self._closure(n, share, seed)
 
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(1, 40), st.integers(1, 40), st.integers(1, 40), SHARES, SEEDS)
-    def test_matmul(self, m, k, n, share, seed):
-        self._matmul(m, k, n, share, seed)
+    @given(
+        st.integers(1, 40),
+        st.integers(1, 40),
+        st.integers(1, 40),
+        SHARES,
+        SEEDS,
+        st.booleans(),
+    )
+    def test_matmul(self, m, k, n, share, seed, blank):
+        self._matmul(m, k, n, share, seed, blank=blank)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 60), SHARES, SEEDS)
     def test_positive_cycle_pivot(self, n, share, seed):
         self._pivot(n, share, seed)
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(1, 40), st.integers(1, 40), SHARES, SEEDS)
-    def test_matmul_shapes(self, n, t, share, seed):
-        self._matmul_shapes(n, t, share, seed)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 60), SHARES, SEEDS)
@@ -722,7 +720,7 @@ class TestSparseKernelParity:
     def test_drifted_bottoms(self, small_sentinels, n, share, seed):
         self._closure(n, share, seed, drift=True)
         self._matmul(n, n, n, share, seed, drift=True)
-        self._matmul_shapes(n, n // 2 + 1, share, seed, drift=True)
+        self._matmul(n, 1, n, share, seed, drift=True, blank=True)
         self._running_maxima(n, share, seed, drift=True)
         self._pivot(n, share, seed, drift=True)
 
