@@ -29,6 +29,7 @@ from .optimize import (
     solve_rank_one,
 )
 from .scheduling import (
+    FloatOverflowError,
     ProjectInstance,
     Schedule,
     ScheduleFamily,
@@ -77,6 +78,7 @@ __all__ = [
     "family_member",
     "solve_general",
     "solve_rank_one",
+    "FloatOverflowError",
     "ProjectInstance",
     "Schedule",
     "ScheduleFamily",

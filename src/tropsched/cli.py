@@ -11,7 +11,6 @@ schedule that fails verification), 4 internal assertion failure.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from .charts import ascii_gantt, svg_gantt
@@ -26,6 +25,7 @@ from .documents import (
 from .optimize import EmptyBoxError, InfeasibleError
 from .semiring import TropVector
 from .scheduling import (
+    FloatOverflowError,
     Schedule,
     deviation_value,
     extract_schedule,
@@ -36,6 +36,12 @@ from .scheduling import (
 )
 
 __all__ = ["main"]
+
+
+_OVERFLOW = (
+    "float arithmetic overflowed: the optimum or a schedule time is not"
+    " finite; use smaller numbers or --mode exact"
+)
 
 
 class CliError(Exception):
@@ -106,10 +112,9 @@ def _load(path, mode):
 
 def cmd_solve(args):
     doc = _load(args.instance, args.mode)
-    inst = doc.instance
     solver = solve_makespan if args.objective == "makespan" else solve_deviation
     try:
-        fam = solver(inst)
+        fam = solver(doc.instance)
     except EmptyBoxError as e:
         if args.mode != "float":
             raise
@@ -118,37 +123,15 @@ def cmd_solve(args):
             " u_high); use --mode exact"
         ) from e
 
+    # extract_schedule checks each schedule against the instance and theta
     try:
         high = extract_schedule(fam, fam.u_high)
         low = extract_schedule(fam, fam.u_low) if fam.u_low.is_nonzero else None
+    except FloatOverflowError:
+        raise
     except ValueError as e:
         # an activity whose finish no start-finish constraint defines
         raise CliError(str(e)) from e
-
-    if args.mode == "float":
-        _check_finite(fam.theta, low, high)
-
-    # solver output must verify against the raw constraints before leaving
-    tol = 0 if args.mode == "exact" else 1e-9
-    for sched in (low, high):
-        if sched is None:
-            continue
-        report = verify_schedule(inst, sched, tol=tol)
-        if not report.feasible:
-            bad = report.violations[0]
-            raise AssertionError(
-                f"extreme schedule violates its instance: {bad.detail}"
-            )
-        value = (
-            makespan_value(sched)
-            if args.objective == "makespan"
-            else deviation_value(sched.start)
-        )
-        diff = value.value - fam.theta.value
-        if not (-tol <= diff <= tol):
-            raise AssertionError(
-                f"extreme schedule has objective {value}, expected {fam.theta}"
-            )
 
     unique = low is not None and low == high
     result = ResultDocument(
@@ -172,20 +155,6 @@ def cmd_solve(args):
     else:
         _emit(_render_text(result), args.out)
     return 0
-
-
-def _check_finite(theta, *schedules):
-    """Float sums can overflow to inf (or inf - inf to nan); that is a
-    limit of the input's size, not a solver fault."""
-    values = [theta.value]
-    for sched in schedules:
-        if sched is not None:
-            values += sched.start._e + sched.finish._e
-    if any(v is not None and not math.isfinite(v) for v in values):
-        raise CliError(
-            "float arithmetic overflowed: the optimum or a schedule time is"
-            " not finite; use smaller numbers or --mode exact"
-        )
 
 
 def _render_text(result):
@@ -272,6 +241,9 @@ def main(argv=None):
         return args.func(args)
     except (CliError, InstanceFormatError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except FloatOverflowError:
+        print(f"error: {_OVERFLOW}", file=sys.stderr)
         return 2
     except InfeasibleError as e:
         print(f"infeasible: {e}", file=sys.stderr)

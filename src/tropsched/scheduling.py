@@ -15,8 +15,10 @@ complete family of optimal schedules x = G u over a parameter box.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import product
+import math
+from dataclasses import dataclass, fields
+from functools import cached_property
+from itertools import chain, product
 
 from . import _loops
 from .optimize import (
@@ -38,6 +40,7 @@ from .semiring import (
 )
 
 __all__ = [
+    "FloatOverflowError",
     "ProjectInstance",
     "Schedule",
     "ScheduleFamily",
@@ -54,6 +57,11 @@ __all__ = [
 ]
 
 OBJECTIVES = ("makespan", "deviation")
+
+
+class FloatOverflowError(ValueError):
+    """Float arithmetic overflowed: the optimum or a schedule time is not
+    finite.  A limit of the input's magnitudes, not a solver fault."""
 
 
 @dataclass(frozen=True)
@@ -120,38 +128,21 @@ class Schedule:
 
 
 @dataclass(frozen=True)
-class ScheduleFamily:
+class ScheduleFamily(SolutionFamily):
     """Every optimal schedule of one instance: x = G u over a parameter box.
 
-    R and s are the reduced precedence matrix and start ceiling the solver
-    worked on; C maps optimal starts to finishes.
+    B and h are the reduced precedence matrix R and start ceiling s the
+    solver worked on; instance.start_finish maps optimal starts to
+    finishes.
     """
 
     objective: str
-    solutions: SolutionFamily
-    C: TropMatrix
-    R: TropMatrix
-    s: TropVector
+    instance: ProjectInstance
 
-    @property
-    def theta(self):
-        return self.solutions.theta
-
-    @property
-    def G(self):
-        return self.solutions.G
-
-    @property
-    def u_low(self):
-        return self.solutions.u_low
-
-    @property
-    def u_high(self):
-        return self.solutions.u_high
-
-    @property
-    def n(self):
-        return self.solutions.n
+    @cached_property
+    def _tol(self):
+        # decided once per family: it reads every number of the instance
+        return _auto_tol(self.instance)
 
 
 @dataclass(frozen=True)
@@ -212,9 +203,12 @@ def _solve(inst, objective):
         raise InfeasibleError(
             "deadlines incompatible with release times", kind="bounds"
         ) from e
-    return ScheduleFamily(
-        objective=objective, solutions=fam, C=inst.start_finish, R=R, s=s
-    )
+    if not _finite(fam.theta.value):
+        raise FloatOverflowError(
+            "float arithmetic overflowed: the optimum is not finite"
+        )
+    parts = {f.name: getattr(fam, f.name) for f in fields(fam)}
+    return ScheduleFamily(objective=objective, instance=inst, **parts)
 
 
 def solve_makespan(inst):
@@ -228,14 +222,32 @@ def solve_deviation(inst):
 
 
 def extract_schedule(fam, u):
-    """Schedule at parameter u: starts x = G u, finishes y = C x."""
-    x = family_member(fam.solutions, u)
-    y = fam.C @ x
+    """Schedule at parameter u: starts x = G u, finishes y = C x, checked
+    to satisfy the instance and attain theta (AssertionError otherwise)."""
+    x = family_member(fam, u)
+    y = fam.instance.start_finish @ x
     if not y.is_regular:
         raise ValueError(
             "some activity has no start-finish constraint defining its completion"
         )
-    return Schedule(start=x, finish=y)
+    if not all(_finite(v) for v in chain(x._e, y._e)):
+        raise FloatOverflowError(
+            "float arithmetic overflowed: a schedule time is not finite"
+        )
+    sched = Schedule(start=x, finish=y)
+    tol = fam._tol
+    bad = next(_violations(fam.instance, x._e, y._e, tol), None)
+    if bad is not None:
+        raise AssertionError(f"schedule violates its instance: {bad.detail}")
+    if fam.objective == "makespan":
+        value = makespan_value(sched)
+    else:
+        value = deviation_value(x)
+    if not (-tol <= value.value - fam.theta.value <= tol):
+        raise AssertionError(
+            f"schedule has objective {value}, expected {fam.theta}"
+        )
+    return sched
 
 
 def makespan_value(sched):
@@ -250,12 +262,19 @@ def deviation_value(x):
     return x.norm() * x.conj().norm()
 
 
+def _finite(v):
+    """False for a float payload that overflowed to inf or nan."""
+    return not isinstance(v, float) or math.isfinite(v)
+
+
 def _auto_tol(inst, *vectors):
+    """0 for exact data, 1e-9 once any number of the instance or of
+    `vectors` is a float."""
     mats = (inst.start_start, inst.start_finish, inst.finish_start)
     vecs = (inst.release, inst.start_deadline, inst.finish_deadline) + vectors
-    lags = [v for m in mats for _, _, v in m._entries()]
-    rows = [lags] + [v._e for v in vecs]
-    return 1e-9 if any(isinstance(x, float) for row in rows for x in row) else 0
+    lags = (v for m in mats for _, _, v in m._entries())
+    values = chain(lags, *(v._e for v in vecs))
+    return 1e-9 if any(isinstance(x, float) for x in values) else 0
 
 
 def _finish_times(c_entries, x, n):
@@ -348,20 +367,19 @@ def _violations(inst, x, y, tol):
             )
 
 
-def verify_schedule(inst, sched, *, tol=None):
+def verify_schedule(inst, sched):
     """Check every constraint class; returns the full violation report.
 
-    tol defaults to 0 for exact data and 1e-9 once any entry is a float.
+    The tolerance is 0 for exact data and 1e-9 once any entry is a float.
     """
     if sched.n != inst.n:
         raise ValueError("schedule and instance sizes differ")
-    if tol is None:
-        tol = _auto_tol(inst, sched.start, sched.finish)
+    tol = _auto_tol(inst, sched.start, sched.finish)
     found = tuple(_violations(inst, sched.start._e, sched.finish._e, tol))
     return ScheduleReport(violations=found)
 
 
-def brute_force_oracle(inst, objective, *, step=1, max_points=2_000_000, tol=None):
+def brute_force_oracle(inst, objective, *, step=1, max_points=2_000_000):
     """Minimal objective over the box lattice, or None when infeasible.
 
     Enumerates starts x on the grid g + step * k clipped to h, computes
@@ -376,8 +394,7 @@ def brute_force_oracle(inst, objective, *, step=1, max_points=2_000_000, tol=Non
     step_v = TropScalar(step).value
     if step_v is None or step_v <= 0:
         raise ValueError("step must be positive")
-    if tol is None:
-        tol = _auto_tol(inst)
+    tol = _auto_tol(inst)
     n = inst.n
     g = inst.release._e
     h = inst.start_deadline._e

@@ -215,12 +215,12 @@ class TestSolve:
         assert "internal error: RuntimeError: kernel panic" in capsys.readouterr().err
 
     def test_self_check_failure_is_exit_4(self, capsys, monkeypatch):
-        import tropsched.cli as cli
+        import tropsched.scheduling as scheduling
 
-        monkeypatch.setattr(cli, "makespan_value", lambda s: TropScalar(0))
+        monkeypatch.setattr(scheduling, "makespan_value", lambda s: TropScalar(0))
         assert main(["solve", INSTANCE, "--objective", "makespan"]) == 4
         err = capsys.readouterr().err
-        assert "internal error: extreme schedule has objective 0, expected 9" in err
+        assert "internal error: schedule has objective 0, expected 9" in err
 
 
 class TestChart:

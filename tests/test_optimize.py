@@ -432,7 +432,7 @@ class TestInt64Path:
 
         for solve in (solve_makespan, solve_deviation):
             fast, slow = solve_both(solve, build)
-            assert same_family(fast.solutions, slow.solutions)
+            assert same_family(fast, slow)
 
     def test_sums_past_the_cutoff_take_the_payload_path(self, small_sentinels):
         # every entry is within MAG_CAP (2**8 here) and the chain's paths

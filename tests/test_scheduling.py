@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import golden
 import randgen
 from tropsched import (
+    FloatOverflowError,
     InfeasibleError,
     ProjectInstance,
     Schedule,
@@ -21,6 +22,7 @@ from tropsched import (
     deviation_value,
     extract_schedule,
     makespan_value,
+    parse_instance,
     reduce_instance,
     solve_deviation,
     solve_makespan,
@@ -31,6 +33,14 @@ from tropsched.scheduling import _auto_tol, _violations
 from tropsched.semiring import _MISSING, _p_str
 
 N = None
+
+HUGE = (
+    "activity a start-by=1e308 finish-by=1.7e308\n"
+    "activity b start-by=1.7e308 finish-by=1.7e308\n"
+    "start-finish a -> a lag=1e308\n"
+    "start-finish b -> b lag=1e308\n"
+    "start-start a -> b lag=1e308\n"
+)
 
 
 def shifted_instance(inst, c):
@@ -129,7 +139,7 @@ class TestReduceOnArrays:
             return randgen.layered_instance(random.Random(4), 40)
 
         fam = solve_makespan(build())
-        assert fam.R._intcache is not _MISSING
+        assert fam.B._intcache is not _MISSING
         assert (fam.theta, fam.G, fam.u_high) == solve_without_kernels(
             build, monkeypatch
         )
@@ -281,8 +291,6 @@ class TestVerification:
 
     def test_float_tolerance_defaults(self):
         text = golden.FIXTURES.joinpath("vaccination.inst").read_text()
-        from tropsched import parse_instance
-
         finst = parse_instance(text, mode="float").instance
         jitter = 1e-12
         sched = Schedule(
@@ -290,7 +298,12 @@ class TestVerification:
             finish=TropVector([float(v) for v in golden.Y_OPT]),
         )
         assert verify_schedule(finst, sched).feasible
-        assert not verify_schedule(finst, sched, tol=0).feasible
+        # past the tolerance, the same shift of the starts is reported
+        shifted = Schedule(
+            start=TropVector([v + 1e-6 for v in golden.X_OPT]),
+            finish=sched.finish,
+        )
+        assert not verify_schedule(finst, shifted).feasible
 
     def test_exact_mode_is_strict(self, inst):
         eps = Fraction(1, 10 ** 12)
@@ -405,6 +418,34 @@ class TestExtractErrors:
         fam = solve_makespan(inst)
         with pytest.raises(ValueError, match="no start-finish constraint"):
             extract_schedule(fam, fam.u_high)
+
+    def test_wrong_theta_fails_the_check(self, inst):
+        fam = solve_makespan(inst)
+        wrong = dataclasses.replace(fam, theta=fam.theta * TropScalar(1))
+        with pytest.raises(AssertionError, match="has objective 9, expected 10"):
+            extract_schedule(wrong, wrong.u_high)
+
+    def test_infeasible_member_fails_the_check(self, inst):
+        fam = solve_deviation(inst)
+        # a generator that ignores every lag: all starts at 0
+        wrong = dataclasses.replace(fam, G=TropMatrix.identity(inst.n))
+        with pytest.raises(AssertionError, match="violates its instance"):
+            extract_schedule(wrong, wrong.u_low)
+
+    def test_float_overflow_in_theta(self):
+        # the makespan 1e308 + 1e308 overflows to inf in float arithmetic
+        inst = parse_instance(HUGE, mode="float").instance
+        with pytest.raises(FloatOverflowError, match="optimum is not finite"):
+            solve_makespan(inst)
+
+    def test_float_overflow_in_a_time(self):
+        fam = solve_deviation(parse_instance(HUGE, mode="float").instance)
+        assert fam.theta == TropScalar(1e308)
+        u = TropVector([1.7e308, 1.7e308])
+        # x[1] >= 1e308 + u[0]
+        wide = dataclasses.replace(fam, u_high=u)
+        with pytest.raises(FloatOverflowError, match="time is not finite"):
+            extract_schedule(wide, u)
 
 
 class TestSingleActivity:
