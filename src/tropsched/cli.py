@@ -11,6 +11,7 @@ schedule that fails verification), 4 internal assertion failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 from .charts import ascii_gantt, svg_gantt
@@ -122,6 +123,12 @@ def cmd_solve(args):
             "float rounding left the parameter box empty (u_low exceeds"
             " u_high); use --mode exact"
         ) from e
+    except InfeasibleError as e:
+        if e.kind != "cycle":
+            raise
+        # the index form stays first: tools parse "(activities 3 -> 0 -> 3)"
+        names = " -> ".join(doc.names[i] for i in (*e.cycle, e.cycle[0]))
+        raise InfeasibleError(f"{e}: {names}", kind="cycle", cycle=e.cycle) from e
 
     # extract_schedule checks each schedule against the instance and theta
     try:
@@ -150,11 +157,27 @@ def cmd_solve(args):
         violations_low=() if low is not None else None,
         violations_high=(),
     )
-    if args.format == "json":
-        _emit(result_to_json(result), args.out)
-    else:
-        _emit(_render_text(result), args.out)
+    render = result_to_json if args.format == "json" else _render_text
+    with _printable():
+        text = render(result)
+    _emit(text, args.out)
     return 0
+
+
+@contextlib.contextmanager
+def _printable():
+    """Turn str() of an int past the interpreter's digit limit (4,300 by
+    default) into a usage error: input numbers within the limit can sum or
+    multiply past it."""
+    try:
+        yield
+    except ValueError as e:
+        if "integer string conversion" not in str(e):
+            raise
+        raise CliError(
+            "cannot print the result: a number has more than"
+            f" {sys.get_int_max_str_digits()} digits"
+        ) from e
 
 
 def _render_text(result):
@@ -223,16 +246,22 @@ def cmd_verify(args):
         start=TropVector(rows[nm][0] for nm in doc.names),
         finish=TropVector(rows[nm][1] for nm in doc.names),
     )
-    report = verify_schedule(doc.instance, sched)
-    print(f"makespan: {makespan_value(sched)}")
-    print(f"deviation: {deviation_value(sched.start)}")
-    if report.feasible:
-        print("feasible")
-        return 0
-    for v in report.violations:
-        spots = ", ".join(doc.names[k] for k in v.where)
-        print(f"violated {v.kind} at {spots}: {v.detail} (excess {v.amount})")
-    return 3
+    with _printable():
+        # the violation details hold numbers too
+        report = verify_schedule(doc.instance, sched)
+        lines = [
+            f"makespan: {makespan_value(sched)}",
+            f"deviation: {deviation_value(sched.start)}",
+        ]
+        if report.feasible:
+            lines.append("feasible")
+        for v in report.violations:
+            spots = ", ".join(doc.names[k] for k in v.where)
+            lines.append(
+                f"violated {v.kind} at {spots}: {v.detail} (excess {v.amount})"
+            )
+    print("\n".join(lines))
+    return 0 if report.feasible else 3
 
 
 def main(argv=None):

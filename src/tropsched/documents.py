@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _kernels
-from .scheduling import ProjectInstance, Schedule, Violation
+from .scheduling import OBJECTIVES, ProjectInstance, Schedule, Violation
 from .semiring import BOTTOM, TropMatrix, TropScalar, TropVector, _p_str
 
 __all__ = [
@@ -111,11 +111,11 @@ class InstanceDocument:
         return len(self.names)
 
 
-def parse_instance(text, *, mode="exact", diagonal_one=True):
+def parse_instance(text, *, mode="exact"):
     """Parse instance text into an InstanceDocument.
 
-    diagonal_one controls whether missing start-start self-lags default to
-    the identity lag 0 (they carry no constraint either way).
+    Missing start-start self-lags default to the identity lag 0 (they
+    carry no constraint either way).
     """
     if mode not in ("exact", "float"):
         raise ValueError("mode must be 'exact' or 'float'")
@@ -215,10 +215,9 @@ def parse_instance(text, *, mode="exact", diagonal_one=True):
                 f" constraint; add its duration, e.g."
                 f" 'start-finish {name} -> {name} lag=<duration>'"
             )
-    if diagonal_one:
-        ss = finite["start-start"]
-        on_diagonal = {i for i, j, _ in ss if i == j}
-        ss.extend((i, i, 0) for i in range(n) if i not in on_diagonal)
+    ss = finite["start-start"]
+    on_diagonal = {i for i, j, _ in ss if i == j}
+    ss.extend((i, i, 0) for i in range(n) if i not in on_diagonal)
 
     def matrix(kind):
         return TropMatrix._from_entries((n, n), finite[kind])
@@ -236,11 +235,11 @@ def parse_instance(text, *, mode="exact", diagonal_one=True):
     )
 
 
-def load_instance(path, *, mode="exact", diagonal_one=True):
+def load_instance(path, *, mode="exact"):
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
-        return parse_instance(text, mode=mode, diagonal_one=diagonal_one)
+        return parse_instance(text, mode=mode)
     except InstanceFormatError as e:
         raise InstanceFormatError(f"{path}: {e.args[0]}") from e
 
@@ -371,8 +370,52 @@ def _vector_json(payloads):
     return [_payload_json(v) for v in payloads]
 
 
-def _vector_from_json(obj):
-    return TropVector(_scalar_from_json(o) for o in obj)
+def _list_from_json(obj, what):
+    if not isinstance(obj, list):
+        raise InstanceFormatError(f"bad result document: {what} must be a list")
+    return obj
+
+
+def _vector_from_json(obj, what):
+    return TropVector(_scalar_from_json(o) for o in _list_from_json(obj, what))
+
+
+def _is_text(v):
+    """A string that can be written out: JSON escapes can spell lone
+    surrogates, which UTF-8 cannot encode."""
+    if not isinstance(v, str):
+        return False
+    try:
+        v.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+def _text_from_json(obj, key):
+    """obj[key]: a string, or None when it is null or absent."""
+    text = obj.get(key)
+    if text is not None and not _is_text(text):
+        raise InstanceFormatError(
+            f"bad result document: {key} must be a string or null"
+        )
+    return text
+
+
+def _names_from_json(obj):
+    if not all(_is_text(nm) for nm in _list_from_json(obj, "activities")):
+        raise InstanceFormatError(
+            "bad result document: activities must be a list of strings"
+        )
+    return tuple(obj)
+
+
+def _choice_from_json(obj, key, choices):
+    if obj[key] not in choices:
+        raise InstanceFormatError(
+            f"bad result document: {key} must be one of {', '.join(choices)}"
+        )
+    return obj[key]
 
 
 def _schedule_json(sched):
@@ -388,8 +431,8 @@ def _schedule_from_json(obj):
     if obj is None:
         return None
     return Schedule(
-        start=_vector_from_json(obj["start"]),
-        finish=_vector_from_json(obj["finish"]),
+        start=_vector_from_json(obj["start"], "start"),
+        finish=_vector_from_json(obj["finish"], "finish"),
     )
 
 
@@ -520,17 +563,18 @@ def result_from_json(text):
         )
     try:
         doc = ResultDocument(
-            objective=obj["objective"],
-            mode=obj["mode"],
-            title=obj.get("title"),
-            unit=obj.get("unit"),
-            names=tuple(obj["activities"]),
+            objective=_choice_from_json(obj, "objective", OBJECTIVES),
+            mode=_choice_from_json(obj, "mode", ("exact", "float")),
+            title=_text_from_json(obj, "title"),
+            unit=_text_from_json(obj, "unit"),
+            names=_names_from_json(obj["activities"]),
             theta=_scalar_from_json(obj["theta"]),
             generator=TropMatrix(
-                [_scalar_from_json(o) for o in row] for row in obj["generator"]
+                _vector_from_json(row, "a generator row")
+                for row in _list_from_json(obj["generator"], "generator")
             ),
-            u_low=_vector_from_json(obj["u_low"]),
-            u_high=_vector_from_json(obj["u_high"]),
+            u_low=_vector_from_json(obj["u_low"], "u_low"),
+            u_high=_vector_from_json(obj["u_high"], "u_high"),
             low=_schedule_from_json(obj["schedules"]["low"]),
             high=_schedule_from_json(obj["schedules"]["high"]),
             unique=bool(obj["unique"]),

@@ -497,6 +497,10 @@ class TropMatrix:
                     f" by {other._nrows}x{other._ncols}"
                 )
             k, (a, b), _ = _operands([self, other])
+            # a held array may carry entries past MAG_CAP, as products
+            # make them: each sum of one entry of a and one of b must fit
+            if k is _kernels and not _kernels.span_fits(2, a, b):
+                k, a, b = _loops, self._rows, other._rows
             return _matrix(k, k.matmul(a, b))
         if isinstance(other, TropVector):
             if self._ncols != len(other._e):

@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 try:
     import tomllib
@@ -54,6 +55,7 @@ BAD_SCHED = GOOD_SCHED.replace("session-2 1 5", "session-2 0 4")
 
 INSTANCE = golden.fixture("vaccination.inst")
 SCHEDULE = golden.fixture("vaccination-optimal.sched")
+FIXTURE_RESULT = json.loads(Path(golden.fixture("vaccination-makespan.json")).read_text())
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 SRC = PYPROJECT.parent / "src"
 
@@ -204,6 +206,49 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith("infeasible: cyclic precedence")
 
+    def test_infeasible_cycle_by_index_then_name(self, tmp_path, capsys):
+        path = tmp_path / "cyclic.inst"
+        path.write_text(CYCLIC)
+        assert main(["solve", str(path), "--objective", "makespan"]) == 3
+        assert capsys.readouterr().err == (
+            "infeasible: cyclic precedence with positive total lag"
+            " (activities 1 -> 0 -> 1): b -> a -> b\n"
+        )
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("source", ["nines", "denominators"])
+    def test_result_past_the_digit_limit_is_exit_2(self, tmp_path, capsys, fmt, source):
+        # every input number is within the 4,300 digits an int converts,
+        # but the result's numbers are not
+        nines = "9" * 4300
+        if source == "nines":
+            text = (
+                f"activity a start-by={nines} finish-by={nines}\n"
+                f"activity b start-by={nines} finish-by={nines}\n"
+                f"start-finish a -> a lag={nines}\n"
+                "start-finish b -> b lag=1\n"
+                f"start-start a -> b lag={nines}\n"
+            )
+        else:
+            # the starts sum lags whose 1,001-digit denominators multiply
+            text = "".join(
+                f"activity a{i} release=0 start-by=10 finish-by=20\n"
+                f"start-finish a{i} -> a{i} lag=1\n"
+                for i in range(7)
+            ) + "".join(
+                f"start-start a{k} -> a{k + 1} lag=1/{10 ** 1000 + k + 1}\n"
+                for k in range(6)
+            )
+        path = tmp_path / "long.inst"
+        path.write_text(text)
+        argv = ["solve", str(path), "--objective", "makespan", "--format", fmt]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: cannot print the result: a number has more than 4300 digits\n"
+        )
+        assert captured.out == ""
+
     def test_unexpected_exception_is_exit_4(self, capsys, monkeypatch):
         import tropsched.cli as cli
 
@@ -221,6 +266,30 @@ class TestSolve:
         assert main(["solve", INSTANCE, "--objective", "makespan"]) == 4
         err = capsys.readouterr().err
         assert "internal error: schedule has objective 0, expected 9" in err
+
+
+def _leaves(obj, path=()):
+    """Paths to the leaves of a JSON value; an empty list or object is one."""
+    if isinstance(obj, (dict, list)) and obj:
+        keys = obj if isinstance(obj, dict) else range(len(obj))
+        for key in keys:
+            yield from _leaves(obj[key], path + (key,))
+    else:
+        yield path
+
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=8)
+    | st.integers().map(str)
+    | st.sampled_from(["\ud800", "x\udfff"]),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=5),
+    max_leaves=10,
+)
 
 
 class TestChart:
@@ -278,6 +347,54 @@ class TestChart:
         assert "spans 10001 time units" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("activities", [1, 2, 3, 4, 5]),
+            ("activities", "abcde"),
+            ("activities", ["\ud800", "b", "c", "d", "e"]),
+            ("objective", "spread"),
+            ("mode", ["exact"]),
+            ("title", 7),
+            ("unit", ["hour"]),
+            ("start", "12345"),
+            ("finish", {"a": 1}),
+        ],
+    )
+    def test_wrong_types_are_exit_2(self, tmp_path, capsys, key, value):
+        path = Path(self._result_file(tmp_path))
+        obj = json.loads(path.read_text())
+        if key in ("start", "finish"):
+            obj["schedules"]["high"][key] = value
+        else:
+            obj[key] = value
+        path.write_text(json.dumps(obj))
+        assert main(["chart", str(path), "--member", "high"]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: bad result document: {key} must be"
+        )
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(st.sampled_from(list(_leaves(FIXTURE_RESULT))), JSON_VALUES)
+    def test_any_leaf_replaced_is_exit_0_or_2(self, tmp_path, capsys, path, value):
+        obj = json.loads(json.dumps(FIXTURE_RESULT))
+        parent = obj
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        result = tmp_path / "result.json"
+        result.write_text(json.dumps(obj))
+        for member in ("low", "high"):
+            for fmt in ("ascii", "svg"):
+                code = main(["chart", str(result), "--member", member, "--format", fmt])
+                err = capsys.readouterr().err
+                assert code in (0, 2), err
+                assert "internal error" not in err
+
     def test_short_activity_list(self, tmp_path, capsys):
         path = Path(self._result_file(tmp_path))
         obj = json.loads(path.read_text())
@@ -322,6 +439,19 @@ class TestVerify:
         assert capsys.readouterr().err == (
             f"error: line 2: bad number '{'9' * 20}...': too many digits (5000)\n"
         )
+
+    def test_makespan_past_the_digit_limit_is_exit_2(self, tmp_path, capsys):
+        # both times have 4,300 digits; the makespan 2 * (10**4300 - 1) has one more
+        inst = tmp_path / "one.inst"
+        inst.write_text("activity a start-by=1 finish-by=2\nstart-finish a -> a lag=1\n")
+        sched = tmp_path / "one.sched"
+        sched.write_text(f"a -{'9' * 4300} {'9' * 4300}\n")
+        assert main(["verify", str(inst), str(sched)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: cannot print the result: a number has more than 4300 digits\n"
+        )
+        assert captured.out == ""
 
     def test_missing_instance(self, capsys):
         assert main(["verify", "/nonexistent.inst", SCHEDULE]) == 2

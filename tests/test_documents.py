@@ -72,8 +72,6 @@ class TestParseInstance:
     def test_diagonal_defaults_to_identity(self):
         doc = parse_instance(MINIMAL)
         assert doc.instance.start_start[0, 0] == TropScalar(0)
-        bare = parse_instance(MINIMAL, diagonal_one=False)
-        assert bare.instance.start_start[0, 0].is_bottom
 
     def test_comments_and_blank_lines(self):
         doc = parse_instance(
@@ -146,24 +144,20 @@ class TestParsedIntArrays:
     built from them and must be the one its payload rows convert to."""
 
     @staticmethod
-    def _reparse(inst, **kw):
+    def _reparse(inst):
         names = tuple(f"t{i}" for i in range(inst.n))
         text = serialize_instance(InstanceDocument(names=names, instance=inst))
-        return parse_instance(text, **kw).instance
+        return parse_instance(text).instance
 
     @settings(max_examples=25, deadline=None)
-    @given(
-        st.integers(0, 2**32),
-        st.sampled_from(["random", "layered"]),
-        st.booleans(),
-    )
-    def test_array_equals_the_payload_conversion(self, seed, kind, diagonal_one):
+    @given(st.integers(0, 2**32), st.sampled_from(["random", "layered"]))
+    def test_array_equals_the_payload_conversion(self, seed, kind):
         rng = random.Random(seed)
         if kind == "random":
             inst = randgen.rand_instance(rng, nmin=1, nmax=30)
         else:
             inst = randgen.layered_instance(rng, rng.randint(1, 60))
-        parsed = self._reparse(inst, diagonal_one=diagonal_one)
+        parsed = self._reparse(inst)
         for m in (parsed.start_start, parsed.start_finish, parsed.finish_start):
             assert m._finite is not None
             assert np.array_equal(
@@ -198,8 +192,7 @@ class TestParsedIntArrays:
         doc = parse_instance(MINIMAL, mode="float")
         assert doc.instance.start_finish._int_array() is None
 
-    @pytest.mark.parametrize("diagonal_one", [True, False])
-    def test_rows_built_from_entries(self, diagonal_one):
+    def test_rows_built_from_entries(self):
         doc = parse_instance(
             "activity a start-by=9 finish-by=20\n"
             "activity b start-by=9 finish-by=20\n"
@@ -209,13 +202,11 @@ class TestParsedIntArrays:
             "start-finish c -> c lag=3\n"
             "start-finish a -> a lag=3\n"
             "start-finish b -> b lag=1/2\n"
-            "start-finish a -> c lag=4\n",
-            diagonal_one=diagonal_one,
+            "start-finish a -> c lag=4\n"
         )
         inst = doc.instance
-        d = 0 if diagonal_one else N
         expected = {
-            "start_start": [[d, N, 2], [N, -1, N], [N, N, d]],
+            "start_start": [[0, N, 2], [N, -1, N], [N, N, 0]],
             "start_finish": [[3, N, N], [N, Fraction(1, 2), N], [4, N, 3]],
             "finish_start": [[N, N, N]] * 3,
         }

@@ -533,6 +533,25 @@ class TestFastKernelParity:
         assert prod == TropMatrix._from_rows(_loops.matmul(a._rows, b._rows))
         assert prod[3, 4].value >= 2 ** 60
 
+    def test_products_past_the_exact_range_fall_back(self, monkeypatch):
+        # squaring 11 times gives A ** 2048: the entries double each time
+        # and reach -2**61, the cutoff, which the int64 product would read
+        # as bottom; the held arrays of the earlier squares are no longer
+        # capped at MAG_CAP, so the product itself must check the sums
+        def power(n):
+            p = TropMatrix([[-2 ** 50] * n] * n)
+            held = []
+            for _ in range(11):
+                p = p @ p
+                held.append(p._held_int_array() is not None)
+            return p, held
+
+        fast, held = power(20)
+        assert held == [True] * 10 + [False]
+        assert fast == TropMatrix([[-2 ** 61] * 20] * 20)
+        monkeypatch.setattr(_kernels, "available", lambda: False)
+        assert fast == power(20)[0]
+
     def test_float_entries_fall_back(self):
         rng = random.Random(105)
         rows = self._rand_rows(rng, 40)
