@@ -39,12 +39,6 @@ from .scheduling import (
 __all__ = ["main"]
 
 
-_OVERFLOW = (
-    "float arithmetic overflowed: the optimum or a schedule time is not"
-    " finite; use smaller numbers or --mode exact"
-)
-
-
 class CliError(Exception):
     """User-facing request problem that is not a solver infeasibility."""
 
@@ -272,7 +266,11 @@ def main(argv=None):
         print(f"error: {e}", file=sys.stderr)
         return 2
     except FloatOverflowError:
-        print(f"error: {_OVERFLOW}", file=sys.stderr)
+        print(
+            "error: float arithmetic overflowed: the optimum or a schedule time"
+            " is not finite; use smaller numbers or --mode exact",
+            file=sys.stderr,
+        )
         return 2
     except InfeasibleError as e:
         print(f"infeasible: {e}", file=sys.stderr)

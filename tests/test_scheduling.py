@@ -425,6 +425,21 @@ class TestExtractErrors:
         with pytest.raises(AssertionError, match="has objective 9, expected 10"):
             extract_schedule(wrong, wrong.u_high)
 
+    def test_tolerance_follows_the_data(self, inst):
+        # float data: theta may be off by rounding noise, up to 1e-9
+        text = golden.FIXTURES.joinpath("vaccination.inst").read_text()
+        ffam = solve_makespan(parse_instance(text, mode="float").instance)
+        near = dataclasses.replace(ffam, theta=ffam.theta * TropScalar(1e-12))
+        assert extract_schedule(near, near.u_high).start == TropVector(golden.X_OPT)
+        far = dataclasses.replace(ffam, theta=ffam.theta * TropScalar(1e-6))
+        with pytest.raises(AssertionError, match="has objective"):
+            extract_schedule(far, far.u_high)
+        # exact data: no tolerance at all
+        fam = solve_makespan(inst)
+        off = dataclasses.replace(fam, theta=fam.theta * TropScalar(Fraction(1, 10**12)))
+        with pytest.raises(AssertionError, match="has objective"):
+            extract_schedule(off, off.u_high)
+
     def test_infeasible_member_fails_the_check(self, inst):
         fam = solve_deviation(inst)
         # a generator that ignores every lag: all starts at 0
