@@ -187,6 +187,10 @@ def vecmat(v, a):
 
 def _magnitude(a):
     """Largest finite magnitude in `a`."""
+    lo = int(a.min(initial=0))
+    if lo > BOTTOM_CUTOFF:
+        # no bottom entry, as in a generator: no need to gather
+        return max(-lo, int(a.max(initial=0)))
     return int(np.abs(a[a > BOTTOM_CUTOFF]).max(initial=0))
 
 

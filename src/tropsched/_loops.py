@@ -2,6 +2,10 @@
 names and signatures, on payload rows (int / Fraction / float, None for
 bottom) instead of int64 arrays.  Exact for every number type; no numpy.
 A matrix is a sequence of rows, so one with no rows has no columns.
+
+The products and the chain steps visit only finite entries, listed once
+per call, in the order a dot over every position visits them, so that of
+two equal sums (0.0 and -0.0 compare equal) the same one stays.
 """
 
 from __future__ import annotations
@@ -27,17 +31,53 @@ def dot(u, v):
     return best
 
 
+def _finite_rows(b):
+    """Per row of `b`, the list of its finite entries `(col, value)`."""
+    return [[(j, x) for j, x in enumerate(row) if x is not None] for row in b]
+
+
+def _fold(v, fin, ncols):
+    """v b, for b given by its `_finite_rows`: each finite v[k], k
+    ascending, folds in the finite entries of row k of b, so of two equal
+    sums the first stays, as in `dot`."""
+    out = [None] * ncols
+    for vk, row in zip(v, fin):
+        if vk is None:
+            continue
+        for j, x in row:
+            s = vk + x
+            o = out[j]
+            if o is None or s > o:
+                out[j] = s
+    return out
+
+
+def _best(pairs, v):
+    """Largest x + v[j] over the `(j, x)` in `pairs` whose v[j] is finite:
+    the first of equal sums, as in `dot`; None when there is none."""
+    best = None
+    for j, x in pairs:
+        y = v[j]
+        if y is not None:
+            s = x + y
+            if best is None or s > best:
+                best = s
+    return best
+
+
 def matvec(a, v):
-    return tuple(dot(row, v) for row in a)
+    (fin,) = _finite_rows((v,))
+    return tuple(_best(fin, row) for row in a)
 
 
 def vecmat(v, a):
-    return tuple(dot(v, col) for col in zip(*a))
+    return tuple(_fold(v, _finite_rows(a), len(a[0]) if a else 0))
 
 
 def matmul(a, b):
-    b_cols = tuple(zip(*b))
-    return tuple(tuple(dot(row, col) for col in b_cols) for row in a)
+    fin = _finite_rows(b)
+    ncols = len(b[0]) if b else 0
+    return tuple(tuple(_fold(row, fin, ncols)) for row in a)
 
 
 def transpose(a):
@@ -134,12 +174,15 @@ def positive_cycle_pivot(a):
 
 def running_maxima(b, x, cap, left=False):
     """Rows x, x max b x, ... (x b when `left`) up to row cap, stopped
-    before the first repeat."""
+    before the first repeat.  The finite entries of b are listed once."""
+    fin = _finite_rows(b)
+    ncols = len(b[0]) if b else 0
     rows = [tuple(x)]
     for _ in range(cap):
-        step = vecmat(rows[-1], b) if left else matvec(b, rows[-1])
-        nxt = tuple(map(_p_add, rows[-1], step))
-        if nxt == rows[-1]:
+        cur = rows[-1]
+        step = _fold(cur, fin, ncols) if left else [_best(r, cur) for r in fin]
+        nxt = tuple(map(_p_add, cur, step))
+        if nxt == cur:
             break
         rows.append(nxt)
     return rows

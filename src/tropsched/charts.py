@@ -26,9 +26,12 @@ def _span(schedule):
     ys = schedule.finish._e
     t0 = min(0, math.floor(min(xs)))
     t_end = max(math.ceil(max(ys)), t0 + 1)
-    if t_end - t0 > _MAX_SPAN:
+    span = t_end - t0
+    if span > _MAX_SPAN:
+        # an int of thousands of digits is too long to convert to text
+        shown = span if span <= 1 << 63 else "more than 2**63"
         raise ValueError(
-            f"schedule spans {t_end - t0} time units; a chart draws at most {_MAX_SPAN}"
+            f"schedule spans {shown} time units; a chart draws at most {_MAX_SPAN}"
         )
     return xs, ys, t0, t_end
 

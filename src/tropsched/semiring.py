@@ -17,6 +17,7 @@ their payload namesakes (`_loops`), which give the same results.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 from . import _kernels, _loops
@@ -38,6 +39,10 @@ _MISSING = object()
 # rows a matrix needs before the int64 kernels take it, unless it already
 # holds its array: below that, converting costs more than the payload loops
 _KERNEL_DIM = 20
+# the same while numpy is not yet imported: below it, the payload loops
+# cost less than the import (on a 2-vCPU host, a fresh `solve` broke even
+# near 145 rows on dense project networks and past 250 on layered ones)
+_IMPORT_DIM = 128
 
 
 def _payload(value):
@@ -292,7 +297,9 @@ class TropVector:
                 raise ValueError(
                     f"cannot multiply 1x{len(self._e)} by {other._nrows}x{other._ncols}"
                 )
-            k, (a,), (v,) = _operands([other], [self._e])
+            # a held array may carry entries past MAG_CAP, as products
+            # make them: each sum of one of its entries and one of v must fit
+            k, (a,), (v,) = _operands([other], [self._e], span=2)
             return TropVector._from_payloads(k.to_payload_vec(k.vecmat(v, a)))
         return NotImplemented
 
@@ -508,7 +515,8 @@ class TropMatrix:
                     f"cannot multiply {self._nrows}x{self._ncols}"
                     f" by {len(other._e)}x1"
                 )
-            k, (a,), (v,) = _operands([self], [other._e])
+            # as in v @ m
+            k, (a,), (v,) = _operands([self], [other._e], span=2)
             return TropVector._from_payloads(k.to_payload_vec(k.matvec(a, v)))
         return NotImplemented
 
@@ -637,14 +645,16 @@ def _operands(mats, vecs=(), span=0):
     matrices `mats` and payload vectors `vecs`, each operand in k's form.
 
     k is `_kernels`, with int64 arrays, when numpy is present, the first
-    matrix already holds its array or has at least `_KERNEL_DIM` rows,
-    every operand converts, and sums of `span` entries of the first matrix
-    and the vectors are exact (`_kernels.span_fits`; the other matrices
-    derive from those).  Else k is `_loops`, with payload rows and tuples.
+    matrix already holds its array or has at least `_KERNEL_DIM` rows
+    (`_IMPORT_DIM` while numpy is not imported), every operand converts,
+    and sums of `span` entries of the first matrix and the vectors are
+    exact (`_kernels.span_fits`; the other matrices derive from those).
+    Else k is `_loops`, with payload rows and tuples.
     """
     first = mats[0]
+    dim = _KERNEL_DIM if "numpy" in sys.modules else _IMPORT_DIM
     if _kernels.available() and (
-        first._held_int_array() is not None or first._nrows >= _KERNEL_DIM
+        first._held_int_array() is not None or first._nrows >= dim
     ):
         forms = [m._int_array() for m in mats]
         if all(a is not None for a in forms):

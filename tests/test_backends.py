@@ -2,13 +2,14 @@
 (`_kernels`), and the one backend choice (`semiring._operands`)."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tropsched import PositiveCycleError, TropMatrix, _kernels, _loops
-from tropsched.semiring import _operands, _successor_path
+from tropsched import PositiveCycleError, TropMatrix, _kernels, _loops, semiring
+from tropsched.semiring import _operands, _payload, _successor_path
 
 N = None
 
@@ -127,6 +128,103 @@ class TestPayloadKernelsMatchInt64:
         assert loops_rows(_loops.take(got, idx)) == rows(_kernels.take(want, idx))
 
 
+# Dense references for the payload products: one dot over every position
+# of each output cell, as `_loops` computed them before it skipped bottoms.
+
+
+def dense_dot(u, v):
+    best = None
+    for a, b in zip(u, v):
+        if a is None or b is None:
+            continue
+        s = a + b
+        if best is None or s > best:
+            best = s
+    return best
+
+
+def dense_matvec(a, v):
+    return tuple(dense_dot(row, v) for row in a)
+
+
+def dense_vecmat(v, a):
+    return tuple(dense_dot(v, col) for col in zip(*a))
+
+
+def dense_matmul(a, b):
+    cols = tuple(zip(*b))
+    return tuple(tuple(dense_dot(row, col) for col in cols) for row in a)
+
+
+def dense_running_maxima(b, x, cap, left=False):
+    out = [tuple(x)]
+    for _ in range(cap):
+        step = dense_vecmat(out[-1], b) if left else dense_matvec(b, out[-1])
+        nxt = tuple(map(_loops._p_add, out[-1], step))
+        if nxt == out[-1]:
+            break
+        out.append(nxt)
+    return out
+
+
+# Each number type with many equal sums: int, thirds (ints and Fractions,
+# as `_payload` normalizes them), and floats whose sums tie at 0.0 and -0.0.
+VALUES = st.sampled_from([
+    st.integers(-3, 3),
+    st.integers(-6, 6).map(lambda k: _payload(Fraction(k, 3))),
+    st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.5]),
+])
+# percent of finite entries
+SHARES = st.sampled_from([0, 10, 25, 50, 75, 90, 100])
+
+
+@st.composite
+def payload_rows(draw, values, share, shape):
+    return tuple(
+        tuple(
+            draw(values) if draw(st.integers(0, 99)) < share else None
+            for _ in range(shape[1])
+        )
+        for _ in range(shape[0])
+    )
+
+
+class TestPayloadLoopsMatchDense:
+    """The payload products skip bottoms and still give, entry for entry
+    and in `repr` (the sign of a zero, int or Fraction), what a dot over
+    every position gives: of two equal sums, the first one stays."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), VALUES, SHARES, st.integers(1, 6), st.integers(0, 6),
+           st.integers(0, 6))
+    def test_products(self, data, values, share, m, k, p):
+        a = data.draw(payload_rows(values, share, (m, k)))
+        b = data.draw(payload_rows(values, share, (k, p)))
+        (u,) = data.draw(payload_rows(values, share, (1, m)))
+        (v,) = data.draw(payload_rows(values, share, (1, k)))
+        assert repr(_loops.matmul(a, b)) == repr(dense_matmul(a, b))
+        assert repr(_loops.matvec(a, v)) == repr(dense_matvec(a, v))
+        assert repr(_loops.vecmat(u, a)) == repr(dense_vecmat(u, a))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), VALUES, SHARES, st.integers(1, 7), st.booleans())
+    def test_running_maxima(self, data, values, share, n, left):
+        b = data.draw(payload_rows(values, share, (n, n)))
+        (x,) = data.draw(payload_rows(values, share, (1, n)))
+        cap = data.draw(st.integers(0, n))
+        got = _loops.running_maxima(b, x, cap, left=left)
+        assert repr(got) == repr(dense_running_maxima(b, x, cap, left))
+
+    def test_signed_zero_ties(self):
+        # -0.0 + -0.0 is -0.0 and every other sum of zeros 0.0: each output
+        # sums to a zero twice, and the sign of the first sum stays
+        a = ((-0.0, 0.0), (0.0, -0.0))
+        z = (-0.0, -0.0)
+        assert repr(_loops.matmul(a, (z, z))) == repr(((-0.0, -0.0), (0.0, 0.0)))
+        assert repr(_loops.matvec(a, z)) == repr((-0.0, 0.0))
+        assert repr(_loops.vecmat(z, a)) == repr((-0.0, 0.0))
+
+
 def no_boxing(arr):
     raise AssertionError("the int64 array was boxed into payload rows")
 
@@ -180,6 +278,16 @@ class TestOperands:
     def test_integer_matrix_from_20_rows(self):
         assert backend([matrix(20)]) is _kernels
         assert backend([matrix(19)]) is _loops
+
+    def test_integer_matrix_before_numpy_is_imported(self, monkeypatch):
+        # until numpy is imported, the kernels must also pay for the import
+        monkeypatch.setattr(semiring, "sys", SimpleNamespace(modules={}))
+        dim = semiring._IMPORT_DIM
+        assert semiring._KERNEL_DIM < dim < 200
+        assert backend([matrix(dim)]) is _kernels
+        assert backend([matrix(dim - 1)]) is _loops
+        held = TropMatrix._from_int_array(np.zeros((3, 3), dtype=np.int64))
+        assert backend([held]) is _kernels
 
     @pytest.mark.parametrize(
         "entry",

@@ -20,6 +20,7 @@ import randgen
 from tropsched import TropScalar
 from tropsched.cli import main
 from tropsched.documents import InstanceDocument, serialize_instance
+from tropsched.semiring import _IMPORT_DIM
 
 NO_RELEASE = """\
 activity a start-by=10 finish-by=20
@@ -341,6 +342,22 @@ class TestChart:
         assert "spans 10001 time units" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("fmt", ["ascii", "svg"])
+    def test_span_too_long_to_print(self, tmp_path, capsys, fmt):
+        # a start and a finish of 4,300 nines: their span has 4,301 digits,
+        # one more than the interpreter converts to text
+        obj = json.loads(json.dumps(FIXTURE_RESULT))
+        obj["schedules"]["high"]["start"][0] = "-" + "9" * 4300
+        obj["schedules"]["high"]["finish"][4] = "9" * 4300
+        path = tmp_path / "result.json"
+        path.write_text(json.dumps(obj))
+        assert main(["chart", str(path), "--member", "high", "--format", fmt]) == 2
+        assert capsys.readouterr() == (
+            "",
+            "error: cannot chart this schedule: schedule spans more than 2**63"
+            " time units; a chart draws at most 10000\n",
+        )
+
     @pytest.mark.parametrize(
         "key, value",
         [
@@ -586,7 +603,8 @@ def _layered_file(tmp_path, n):
 
 
 class TestLazyNumpy:
-    """numpy is imported only when a problem first reaches an int64 kernel."""
+    """numpy is imported only when a problem first reaches an int64 kernel,
+    which, until numpy is imported, takes `semiring._IMPORT_DIM` rows."""
 
     def test_small_requests_do_not_import_numpy(self, tmp_path):
         result = str(tmp_path / "result.json")
@@ -598,11 +616,31 @@ class TestLazyNumpy:
             ["chart", result, "--member", "low"],
             ["chart", result, "--member", "high", "--format", "svg"],
             ["solve", _layered_file(tmp_path, 10), "--objective", "makespan"],
+            ["solve", _layered_file(tmp_path, 30), "--objective", "makespan"],
+            ["solve", _layered_file(tmp_path, _IMPORT_DIM - 1), "--objective",
+             "makespan"],
         ]
-        large = ["solve", _layered_file(tmp_path, 30), "--objective", "makespan"]
+        large = ["solve", _layered_file(tmp_path, _IMPORT_DIM), "--objective",
+                 "makespan"]
         runs = _fresh_cli(small + [large])["runs"]
         expected = [(0, False)] * len(small) + [(0, True)]
         assert [(code, loaded) for code, _, loaded in runs] == expected
+
+    @pytest.mark.parametrize("imported", [True, False])
+    def test_once_numpy_is_imported_small_solves_take_the_kernels(
+        self, tmp_path, imported
+    ):
+        # the payload star and chains are stubbed out, so a solve that
+        # reaches them exits 4 (internal error), and exit 0 shows that the
+        # int64 kernels ran them
+        prelude = (
+            "import numpy\n" * imported
+            + "from tropsched import _loops\n"
+            "_loops.star = _loops.running_maxima = None"
+        )
+        argv = ["solve", _layered_file(tmp_path, 30), "--objective", "makespan"]
+        (run,) = _fresh_cli([argv], prelude=prelude)["runs"]
+        assert run[0] == (0 if imported else 4)
 
     @pytest.mark.parametrize("objective", ["makespan", "deviation"])
     def test_without_numpy_the_output_is_identical(self, tmp_path, capsys, objective):

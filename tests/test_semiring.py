@@ -552,6 +552,19 @@ class TestFastKernelParity:
         monkeypatch.setattr(_kernels, "available", lambda: False)
         assert fast == power(20)[0]
 
+    def test_vector_products_past_the_exact_range_fall_back(self):
+        # eleven squarings hold an array of -(2**61 - 2048), within the
+        # range a matrix product admits; adding a vector entry of -2**50
+        # takes the sums past the cutoff, where int64 reads them as bottom
+        p = TropMatrix([[-(2 ** 50 - 1)] * 20] * 20)
+        for _ in range(11):
+            p = p @ p
+        assert p._held_int_array() is not None
+        v = TropVector([-2 ** 50] * 20)
+        exact = TropVector([-(2 ** 61 - 2048) - 2 ** 50] * 20)
+        assert p @ v == exact
+        assert v @ p == exact
+
     def test_float_entries_fall_back(self):
         rng = random.Random(105)
         rows = self._rand_rows(rng, 40)
