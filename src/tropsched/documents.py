@@ -2,9 +2,10 @@
 
 The instance format is line oriented.  '#' starts a comment, blank lines
 are ignored, and numbers are parsed as exact rationals ("5", "-3", "4.5",
-"9/2") unless mode="float" is requested; scientific notation is rejected
-in exact mode.  A file holds optional "title:" / "unit:" lines, one
-"activity" line per activity, and one line per temporal constraint:
+"9/2") unless mode="float" is requested, which reads floats (a fraction
+exactly, then rounded once); scientific notation is rejected in exact
+mode.  A file holds optional "title:" / "unit:" lines, one "activity"
+line per activity, and one line per temporal constraint:
 
     title: Vaccination sessions
     unit: hour
@@ -27,10 +28,10 @@ from __future__ import annotations
 import functools
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _kernels
+from ._record import Record
 from .scheduling import OBJECTIVES, ProjectInstance, Schedule, Violation
 from .semiring import BOTTOM, TropMatrix, TropScalar, TropVector, _p_str
 
@@ -66,28 +67,13 @@ class InstanceFormatError(ValueError):
 
 def _parse_number(tok, mode, line):
     if mode == "exact":
-        # isdecimal() accepts exactly the pattern's unsigned \d+, the common case
-        if not (tok.isdecimal() or _EXACT_NUM_RE.match(tok)):
-            hint = (
-                " (scientific notation is not allowed in exact mode)"
-                if "e" in tok.lower()
-                else ""
-            )
-            raise InstanceFormatError(f"bad number {tok!r}{hint}", line=line)
+        return _parse_exact(tok, line, sci_hint=True)
+    if "/" in tok:
+        # a fraction is read exactly, then rounded once
         try:
-            if "." in tok or "/" in tok:
-                return Fraction(tok)
-            return int(tok)
-        except ZeroDivisionError:
-            raise InstanceFormatError(f"bad number {tok!r}: zero denominator", line=line)
-        except ValueError:
-            # past the interpreter's limit on the digits of an int (4,300
-            # by default), so the token is long: show its start
-            shown = tok[:20] + "..."
-            digits = sum(c.isdecimal() for c in tok)
-            raise InstanceFormatError(
-                f"bad number {shown!r}: too many digits ({digits})", line=line
-            )
+            return float(_parse_exact(tok, line, sci_hint=False))
+        except OverflowError:
+            raise InstanceFormatError(f"bad number {tok!r}", line=line)
     try:
         v = float(tok)
     except ValueError:
@@ -97,8 +83,32 @@ def _parse_number(tok, mode, line):
     return v
 
 
-@dataclass(frozen=True)
-class InstanceDocument:
+def _parse_exact(tok, line, *, sci_hint):
+    # isdecimal() accepts exactly the pattern's unsigned \d+, the common case
+    if not (tok.isdecimal() or _EXACT_NUM_RE.match(tok)):
+        hint = (
+            " (scientific notation is not allowed in exact mode)"
+            if sci_hint and "e" in tok.lower()
+            else ""
+        )
+        raise InstanceFormatError(f"bad number {tok!r}{hint}", line=line)
+    try:
+        if "." in tok or "/" in tok:
+            return Fraction(tok)
+        return int(tok)
+    except ZeroDivisionError:
+        raise InstanceFormatError(f"bad number {tok!r}: zero denominator", line=line)
+    except ValueError:
+        # past the interpreter's limit on the digits of an int (4,300
+        # by default), so the token is long: show its start
+        shown = tok[:20] + "..."
+        digits = sum(c.isdecimal() for c in tok)
+        raise InstanceFormatError(
+            f"bad number {shown!r}: too many digits ({digits})", line=line
+        )
+
+
+class InstanceDocument(Record):
     """A parsed instance file: activity names plus the instance matrices."""
 
     names: tuple[str, ...]
@@ -311,8 +321,7 @@ def serialize_schedule(names, sched):
     )
 
 
-@dataclass(frozen=True)
-class ResultDocument:
+class ResultDocument(Record):
     """A solved family plus its extreme schedules, ready for JSON transport.
 
     low is None when the release vector is the zero vector: the family is

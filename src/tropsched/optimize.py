@@ -21,11 +21,11 @@ indices) dominate the rest, or V_dv W_dw alone when there are none.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
 from . import _loops
+from ._record import Record
 from .semiring import (
     BOTTOM,
     ONE,
@@ -82,8 +82,7 @@ def _square_dim(mat, name):
     return mat.shape[0]
 
 
-@dataclass(frozen=True)
-class RankOneProblem:
+class RankOneProblem(Record):
     """Minimize (x~ p)(q~ x) subject to B x <= x and g <= x <= h."""
 
     p: TropVector
@@ -115,8 +114,7 @@ class RankOneProblem:
         return (x.conj() @ self.p) * (self.q.conj() @ x)
 
 
-@dataclass(frozen=True)
-class GeneralProblem:
+class GeneralProblem(Record):
     """Minimize x~ A x subject to B x <= x and g <= x <= h."""
 
     A: TropMatrix
@@ -147,8 +145,7 @@ class GeneralProblem:
         return x.conj() @ (self.A @ x)
 
 
-@dataclass(frozen=True)
-class SolutionFamily:
+class SolutionFamily(Record):
     """All regular optimal solutions: x = G u, u nonzero, u_low <= u <= u_high.
 
     The optimum is theta.  The defining constraint data (B, g, h) is kept

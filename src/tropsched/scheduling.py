@@ -16,11 +16,11 @@ complete family of optimal schedules x = G u over a parameter box.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import chain, product
 
 from . import _loops
+from ._record import Record
 from .optimize import (
     InfeasibleError,
     RankOneProblem,
@@ -64,8 +64,7 @@ class FloatOverflowError(ValueError):
     finite.  A limit of the input's magnitudes, not a solver fault."""
 
 
-@dataclass(frozen=True)
-class ProjectInstance:
+class ProjectInstance(Record):
     """Matrices and bounds of one scheduling problem.
 
     start_start[i][j] is the minimum lag from the start of activity j to
@@ -109,8 +108,7 @@ class ProjectInstance:
         return len(self.release)
 
 
-@dataclass(frozen=True)
-class Schedule:
+class Schedule(Record):
     """Concrete start and finish times of every activity."""
 
     start: TropVector
@@ -127,7 +125,6 @@ class Schedule:
         return len(self.start)
 
 
-@dataclass(frozen=True)
 class ScheduleFamily(SolutionFamily):
     """Every optimal schedule of one instance: x = G u over a parameter box.
 
@@ -145,8 +142,7 @@ class ScheduleFamily(SolutionFamily):
         return _auto_tol(self.instance)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     """One violated constraint: its class, the indices, and the excess."""
 
     kind: str
@@ -155,8 +151,7 @@ class Violation:
     detail: str
 
 
-@dataclass(frozen=True)
-class ScheduleReport:
+class ScheduleReport(Record):
     violations: tuple[Violation, ...]
 
     @property
@@ -207,8 +202,7 @@ def _solve(inst, objective):
         raise FloatOverflowError(
             "float arithmetic overflowed: the optimum is not finite"
         )
-    parts = {f.name: getattr(fam, f.name) for f in fields(fam)}
-    return ScheduleFamily(objective=objective, instance=inst, **parts)
+    return ScheduleFamily(*fam._values(), objective=objective, instance=inst)
 
 
 def solve_makespan(inst):

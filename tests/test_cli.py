@@ -122,6 +122,33 @@ class TestSolve:
         assert code == 0
         assert "optimum: 3.5" in capsys.readouterr().out
 
+    def test_float_mode_reads_fractions(self, tmp_path, capsys):
+        # README: numbers may be fractions in either mode
+        outs = []
+        for lag in ("3/2", "1.5"):
+            path = tmp_path / "frac.inst"
+            path.write_text(NO_RELEASE.replace("lag=1\n", f"lag={lag}\n"))
+            argv = ["solve", str(path), "--objective", "makespan", "--mode", "float"]
+            assert main([*argv, "--format", "json"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert json.loads(outs[0])["theta"] == 5.5
+
+    @pytest.mark.parametrize(
+        "lag, message",
+        [
+            ("3/0", "line 5: bad number '3/0': zero denominator"),
+            ("1e3/2", "line 5: bad number '1e3/2'"),
+        ],
+    )
+    def test_float_mode_bad_fraction_is_exit_2(self, tmp_path, capsys, lag, message):
+        path = tmp_path / "frac.inst"
+        path.write_text(NO_RELEASE.replace("lag=1\n", f"lag={lag}\n"))
+        for mode in ("float", "exact"):
+            argv = ["solve", str(path), "--objective", "makespan", "--mode", mode]
+            assert main(argv) == 2
+            assert message in capsys.readouterr().err
+
     def test_float_overflow_is_exit_2(self, tmp_path, capsys):
         # the makespan 1e308 + 1e308 overflows to inf in float arithmetic
         path = tmp_path / "huge.inst"
@@ -486,6 +513,96 @@ def test_non_utf8_file_is_exit_2(tmp_path, capsys, argv):
     assert capsys.readouterr().err == f"error: cannot read {bad}: not UTF-8 text\n"
 
 
+# One token or line of an input file replaced: every
+# outcome must be a result (0), a usage or parse error (2) or an
+# infeasibility or failed verification (3), printed without a traceback.
+NUMBERS = st.one_of(
+    st.integers(-20, 20).map(str),
+    st.fractions(max_denominator=12).map(str),
+    st.floats().map(repr),
+    st.sampled_from([
+        "-0", "+3", "--1", ".5", "-.5", "1.", "3/0", "0/0", "-7/-3", "1e3", "1e3/2",
+        "1e308", "-1e308", "1.7e308", "nan", "inf", "-inf", "0x10", "١",
+        "7" * 60, "-" + "7" * 60, "1/" + "3" * 40, "9" * 4301, "1." + "5" * 4300,
+    ]),
+)
+WORDS = st.sampled_from([
+    "activity", "start-start", "start-finish", "finish-start", "->", "title:",
+    "unit:", "#", "=", "lag=", "lag", "release=", "start-by=", "finish-by=",
+    "session-1", "session-3", "session-5", "session-9", "x", "-x", "",
+])
+KEYED = st.tuples(
+    st.sampled_from(["lag=", "release=", "start-by=", "finish-by=", "bogus="]), NUMBERS
+).map("".join)
+TOKENS = NUMBERS | WORDS | KEYED | st.text(
+    st.characters(blacklist_categories=("Cs",)), max_size=6
+)
+INSTANCE_TEXT = Path(INSTANCE).read_text()
+
+
+def _mutate(data, text):
+    """text with one token of one line replaced, or one whole line replaced
+    by tokens, a copy of another line, or nothing."""
+    lines = text.split("\n")
+    i = data.draw(st.integers(0, len(lines) - 1), label="line")
+    toks = lines[i].split()
+    how = data.draw(st.sampled_from(["token", "line", "copy"]), label="how")
+    if how == "token" and toks:
+        j = data.draw(st.integers(0, len(toks) - 1), label="token")
+        toks[j] = data.draw(TOKENS, label="new token")
+        lines[i] = " ".join(toks)
+    elif how == "copy":
+        lines[i] = data.draw(st.sampled_from(lines), label="copied line")
+    else:
+        lines[i] = " ".join(data.draw(st.lists(TOKENS, max_size=6), label="new line"))
+    return "\n".join(lines)
+
+
+def _run_bounded(capsys, argv, inputs):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code in (0, 2, 3), err
+    assert "internal error" not in err
+    assert "Traceback" not in err
+    # a result lists each number a bounded number of times
+    assert len(out) + len(err) <= 100 * sum(len(t) for t in inputs) + 10_000
+
+
+class TestFuzz:
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(st.data())
+    def test_instance_with_one_token_or_line_replaced(self, tmp_path, capsys, data):
+        text = _mutate(data, INSTANCE_TEXT)
+        path = tmp_path / "mutated.inst"
+        path.write_text(text, encoding="utf-8")
+        inputs = (text, GOOD_SCHED)
+        for argv in (
+            ["solve", str(path), "--objective", "makespan"],
+            ["solve", str(path), "--objective", "deviation", "--format", "json"],
+            ["solve", str(path), "--objective", "makespan", "--mode", "float"],
+            ["verify", str(path), SCHEDULE],
+        ):
+            _run_bounded(capsys, argv, inputs)
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(st.data())
+    def test_schedule_with_one_token_or_line_replaced(self, tmp_path, capsys, data):
+        text = _mutate(data, GOOD_SCHED)
+        path = tmp_path / "mutated.sched"
+        path.write_text(text, encoding="utf-8")
+        for mode in ("exact", "float"):
+            argv = ["verify", INSTANCE, str(path), "--mode", mode]
+            _run_bounded(capsys, argv, (INSTANCE_TEXT, text))
+
+
 class TestArgparse:
     def test_no_arguments(self, capsys):
         with pytest.raises(SystemExit) as ei:
@@ -668,3 +785,37 @@ class TestLazyNumpy:
             "from tropsched import _kernels\n"
             "from tropsched.semiring import TropMatrix\n" + first_call
         )
+
+
+class TestColdStart:
+    """A CLI request loads neither `dataclasses` nor `inspect`: together
+    they cost a fresh interpreter about 10 ms of import time."""
+
+    def test_requests_do_not_import_dataclasses_or_inspect(self, tmp_path):
+        result = str(tmp_path / "result.json")
+        requests = [
+            ["solve", INSTANCE, "--objective", "makespan"],
+            ["solve", INSTANCE, "--objective", "makespan", "--format", "json",
+             "--out", result],
+            ["chart", result, "--member", "high"],
+            ["verify", INSTANCE, SCHEDULE],
+        ]
+        pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=pythonpath)
+        for argv in requests:
+            proc = subprocess.run(
+                [sys.executable, "-X", "importtime", "-m", "tropsched.cli", *argv],
+                capture_output=True,
+                text=True,
+                env=env,
+            )
+            assert proc.returncode == 0, proc.stderr
+            # -X importtime writes "import time: self | cumulative | name"
+            imported = {
+                line.rsplit("|", 1)[1].strip()
+                for line in proc.stderr.splitlines()
+                if line.startswith("import time:")
+            }
+            # the package's modules are listed, so the report is complete
+            assert "tropsched.documents" in imported
+            assert not imported & {"dataclasses", "inspect"}, argv

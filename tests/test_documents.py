@@ -1,6 +1,5 @@
 """Instance and schedule text formats plus the result JSON round trip."""
 
-import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -654,7 +653,7 @@ def _with_payload_generator(doc):
     """`doc` with its generator as the payload rows the array boxes to."""
     arr = doc.generator._held_int_array()
     g = TropMatrix._from_rows(_kernels.to_payload_rows(arr))
-    return dataclasses.replace(doc, generator=g)
+    return doc.replace(generator=g)
 
 
 class TestResultWriter:
@@ -732,8 +731,7 @@ class TestResultWriter:
         assert result_to_json(result) == _reference_json(result)
 
     def test_empty_violation_lists_and_non_empty_ones(self, doc):
-        result = dataclasses.replace(
-            _result_doc(doc),
+        result = _result_doc(doc).replace(
             violations_low=(),
             violations_high=(
                 Violation("release", (0,), TropScalar(Fraction(1, 2)), 'a "b"'),

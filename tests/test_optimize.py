@@ -1,6 +1,5 @@
 """Rank-one and general conjugate-quadratic minimization."""
 
-import dataclasses
 import random
 
 from fractions import Fraction
@@ -468,7 +467,7 @@ class TestInt64Path:
             def build():
                 prob = potential_problem(seed, n)
                 arr = _kernels.from_payload_rows(prob.B._rows)
-                return dataclasses.replace(prob, B=TropMatrix._from_int_array(arr))
+                return prob.replace(B=TropMatrix._from_int_array(arr))
 
             fast, slow = solve_both(solve_rank_one, build)
             assert same_family(fast, slow)

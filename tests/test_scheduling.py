@@ -1,6 +1,5 @@
 """Instance reduction, the two schedulers, verification, and the oracle."""
 
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -421,7 +420,7 @@ class TestExtractErrors:
 
     def test_wrong_theta_fails_the_check(self, inst):
         fam = solve_makespan(inst)
-        wrong = dataclasses.replace(fam, theta=fam.theta * TropScalar(1))
+        wrong = fam.replace(theta=fam.theta * TropScalar(1))
         with pytest.raises(AssertionError, match="has objective 9, expected 10"):
             extract_schedule(wrong, wrong.u_high)
 
@@ -429,21 +428,21 @@ class TestExtractErrors:
         # float data: theta may be off by rounding noise, up to 1e-9
         text = golden.FIXTURES.joinpath("vaccination.inst").read_text()
         ffam = solve_makespan(parse_instance(text, mode="float").instance)
-        near = dataclasses.replace(ffam, theta=ffam.theta * TropScalar(1e-12))
+        near = ffam.replace(theta=ffam.theta * TropScalar(1e-12))
         assert extract_schedule(near, near.u_high).start == TropVector(golden.X_OPT)
-        far = dataclasses.replace(ffam, theta=ffam.theta * TropScalar(1e-6))
+        far = ffam.replace(theta=ffam.theta * TropScalar(1e-6))
         with pytest.raises(AssertionError, match="has objective"):
             extract_schedule(far, far.u_high)
         # exact data: no tolerance at all
         fam = solve_makespan(inst)
-        off = dataclasses.replace(fam, theta=fam.theta * TropScalar(Fraction(1, 10**12)))
+        off = fam.replace(theta=fam.theta * TropScalar(Fraction(1, 10**12)))
         with pytest.raises(AssertionError, match="has objective"):
             extract_schedule(off, off.u_high)
 
     def test_infeasible_member_fails_the_check(self, inst):
         fam = solve_deviation(inst)
         # a generator that ignores every lag: all starts at 0
-        wrong = dataclasses.replace(fam, G=TropMatrix.identity(inst.n))
+        wrong = fam.replace(G=TropMatrix.identity(inst.n))
         with pytest.raises(AssertionError, match="violates its instance"):
             extract_schedule(wrong, wrong.u_low)
 
@@ -458,7 +457,7 @@ class TestExtractErrors:
         assert fam.theta == TropScalar(1e308)
         u = TropVector([1.7e308, 1.7e308])
         # x[1] >= 1e308 + u[0]
-        wide = dataclasses.replace(fam, u_high=u)
+        wide = fam.replace(u_high=u)
         with pytest.raises(FloatOverflowError, match="time is not finite"):
             extract_schedule(wide, u)
 
@@ -769,8 +768,7 @@ class TestViolationsOnEntries:
         # every lag of B and D violated by an all-zero schedule is reported
         # by (i, j), however the entries were listed
         entries = list(inst.start_start._entries())
-        shuffled = dataclasses.replace(
-            inst,
+        shuffled = inst.replace(
             start_start=TropMatrix._from_entries(
                 inst.start_start.shape, entries[::-1]
             ),
@@ -791,8 +789,8 @@ class TestViolationsOnEntries:
         entries = list(m._entries())
         i, j, v = entries[position]
         entries[position] = (i, j, float(v))
-        one_float = dataclasses.replace(
-            inst, **{which: TropMatrix._from_entries(m.shape, entries)}
+        one_float = inst.replace(
+            **{which: TropMatrix._from_entries(m.shape, entries)}
         )
         assert _auto_tol(inst) == 0
         assert _auto_tol(one_float) == 1e-9
