@@ -79,11 +79,14 @@ def _build_parser():
 
 
 def _emit(text, out_path):
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as e:
+        raise CliError(f"cannot write {out_path}: {e}") from e
 
 
 def _read(path):

@@ -363,11 +363,13 @@ def _scalar_from_json(o):
     if o is None:
         return BOTTOM
     if isinstance(o, str):
+        # not Fraction(o): it reads exponents, and "1e7000000" takes seconds
         try:
-            return TropScalar(Fraction(o))
-        except (ValueError, ZeroDivisionError):
+            return TropScalar(_parse_exact(o, None, sci_hint=False))
+        except InstanceFormatError:
+            shown = o if len(o) <= 20 else o[:20] + "..."
             raise InstanceFormatError(
-                f"bad scalar {o!r} in result document"
+                f"bad scalar {shown!r} in result document"
             ) from None
     if isinstance(o, bool) or not isinstance(o, (int, float)):
         raise InstanceFormatError(f"bad scalar {o!r} in result document")
@@ -564,7 +566,8 @@ def result_to_json(doc):
 def result_from_json(text):
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:
+        # JSONDecodeError, or an int past the interpreter's digit limit
         raise InstanceFormatError(f"bad result document: {e}") from e
     if not isinstance(obj, dict) or obj.get("format") != RESULT_FORMAT:
         raise InstanceFormatError(

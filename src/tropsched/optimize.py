@@ -1,11 +1,19 @@
 """Minimize x~ A x over max-plus vectors x subject to B x <= x and g <= x <= h.
 
-Two solvers cover the same problem shape.  solve_general handles any A by
-enumerating bounded products of A and powers of B, which is exponential in
-the dimension and meant for cross-checking at small sizes.  solve_rank_one
+Two solvers cover the same problem shape.  solve_general handles any A in
+O(n^5) time and serves as the cross-check of solve_rank_one, which
 requires A = p q~ and assembles the optimum and its parametric solution
 family in O(n^3) time.  Both return a SolutionFamily describing every
 regular optimal solution as x = G u with g <= u <= u_high, u nonzero.
+
+solve_general's theta is the maximum, over k = 1..n, of the 1/k-th powers
+of the traces of the words in {A, B} of length at most n with k factors A
+that start with A, and of h~ w g over the words w of length at most n - 1
+with k factors A.  A trace is invariant under rotation, so the traces may
+range over all such words.  The sum W(l, k) of the words of length l with
+k factors A follows W(l, k) = W(l-1, k) B + W(l-1, k-1) A from
+W(0, 0) = I, and h~ W(l, k) the same recurrence from h~: n^2 matrix
+products in all.
 
 solve_rank_one's closed form sums (B^i p)(W_{n-2-i}) over i = 0..n-2, with
 W_j the maximum of q~ B^0, ..., q~ B^j.  It takes the running maxima
@@ -22,7 +30,6 @@ indices) dominate the rest, or V_dv W_dw alone when there are none.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 
 from . import _loops
 from ._record import Record
@@ -238,49 +245,22 @@ def _dominant_terms(n, dv, dw):
 
 
 def solve_general(prob):
-    """Enumerative solution family for an arbitrary objective matrix.
-
-    Runs in time exponential in the dimension; intended as an oracle for
-    small problems (dimension at most about 8).
-    """
+    """Solution family for an arbitrary objective matrix, by the word
+    recurrence in the module docstring: O(n^5) time."""
     A, B, g, h = prob.A, prob.B, prob.g, prob.h
     n = prob.n
     star = _constraint_star(B)
     hc = h.conj()
     _check_box_gate((hc @ star) @ g)
 
-    powers = [TropMatrix.identity(n)]
-    for _ in range(n - 1):
-        powers.append(powers[-1] @ B)
-
     theta = BOTTOM
-    for k in range(1, n + 1):
-        # trace of the sum of A B^{i1} ... A B^{ik} over i1+...+ik <= n-k
-        tr_k = BOTTOM
-        limit = n - k
-        for comb in product(range(limit + 1), repeat=k):
-            if sum(comb) > limit:
-                continue
-            m = None
-            for i in comb:
-                seg = A @ powers[i] if i else A
-                m = seg if m is None else m @ seg
-            tr_k = tr_k + m.trace()
-        theta = theta + tr_k ** Fraction(1, k)
-    for k in range(1, n):
-        # h~ B^{i0} A B^{i1} ... A B^{ik} g over i0+...+ik <= n-k-1
-        val_k = BOTTOM
-        limit = n - k - 1
-        for comb in product(range(limit + 1), repeat=k + 1):
-            if sum(comb) > limit:
-                continue
-            r = hc @ powers[comb[0]] if comb[0] else hc
-            for i in comb[1:]:
-                r = r @ A
-                if i:
-                    r = r @ powers[i]
-            val_k = val_k + (r @ g)
-        theta = theta + val_k ** Fraction(1, k)
+    words, rows = [TropMatrix.identity(n)], [hc]
+    for _ in range(n):
+        for k, r in enumerate(rows[1:], 1):
+            theta += (r @ g) ** Fraction(1, k)
+        words, rows = _extend(words, A, B), _extend(rows, A, B)
+        for k, w in enumerate(words[1:], 1):
+            theta += w.trace() ** Fraction(1, k)
     assert not theta.is_bottom, "optimal value fell to bottom"
 
     try:
@@ -291,6 +271,15 @@ def solve_general(prob):
     return SolutionFamily(
         theta=theta, G=G, u_low=g, u_high=u_high, B=B, g=g, h=h
     )
+
+
+def _extend(words, A, B):
+    """The word sums one factor longer: words[k] sums the words with k
+    factors A, and each word ends in one more B, or in one more A, which
+    moves it to k + 1."""
+    with_b = [w @ B for w in words]
+    with_a = [w @ A for w in words]
+    return with_b[:1] + [b + a for b, a in zip(with_b[1:], with_a)] + with_a[-1:]
 
 
 def family_member(fam, u):

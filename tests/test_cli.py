@@ -104,6 +104,24 @@ class TestSolve:
         assert capsys.readouterr().out == ""
         assert json.loads(target.read_text())["theta"] == "9"
 
+    @pytest.mark.parametrize("command", ["solve", "chart"])
+    @pytest.mark.parametrize(
+        "target, reason",
+        [("", "Is a directory"), ("missing/result.json", "No such file or directory")],
+        ids=["directory", "missing-directory"],
+    )
+    def test_unwritable_out_is_exit_2(self, tmp_path, capsys, command, target, reason):
+        out = tmp_path / target
+        if command == "solve":
+            argv = ["solve", INSTANCE, "--objective", "makespan", "--format", "json"]
+        else:
+            argv = ["chart", golden.fixture("vaccination-makespan.json"), "--member", "high"]
+        assert main([*argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {out}: ")
+        assert reason in captured.err
+
     def test_no_release_times(self, tmp_path, capsys):
         path = tmp_path / "free.inst"
         path.write_text(NO_RELEASE)
@@ -307,7 +325,7 @@ JSON_VALUES = st.recursive(
     | st.floats()
     | st.text(max_size=8)
     | st.integers().map(str)
-    | st.sampled_from(["\ud800", "x\udfff"]),
+    | st.sampled_from(["\ud800", "x\udfff", "1e400", "-2E9", "1e7000000"]),
     lambda inner: st.lists(inner, max_size=5)
     | st.dictionaries(st.text(max_size=5), inner, max_size=5),
     max_leaves=10,
@@ -355,6 +373,35 @@ class TestChart:
         path.write_text("{}")
         assert main(["chart", str(path), "--member", "high"]) == 2
         assert "bad result document" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "theta, shown",
+        [
+            ("1e7000000", "'1e7000000'"),
+            ("-2E9", "'-2E9'"),
+            ("9" * 25 + "e1", "'99999999999999999999...'"),
+        ],
+        ids=["huge-exponent", "exponent", "long"],
+    )
+    def test_exponent_scalar_is_exit_2(self, tmp_path, capsys, theta, shown):
+        # Fraction() reads exponents, and "1e7000000" takes it seconds
+        obj = json.loads(json.dumps(FIXTURE_RESULT))
+        obj["theta"] = theta
+        path = tmp_path / "result.json"
+        path.write_text(json.dumps(obj))
+        assert main(["chart", str(path), "--member", "high"]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: bad scalar {shown} in result document\n"
+        )
+
+    def test_json_number_past_the_digit_limit_is_exit_2(self, tmp_path, capsys):
+        text = json.dumps(FIXTURE_RESULT).replace('"theta": "9"', '"theta": 1' + "0" * 5000)
+        path = tmp_path / "result.json"
+        path.write_text(text)
+        assert main(["chart", str(path), "--member", "high"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: bad result document: Exceeds the limit")
 
     @pytest.mark.parametrize("fmt", ["ascii", "svg"])
     def test_span_over_the_cap(self, tmp_path, capsys, fmt):

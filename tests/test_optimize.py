@@ -1,8 +1,10 @@
 """Rank-one and general conjugate-quadratic minimization."""
 
 import random
+import time
 
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ import randgen
 from tropsched import (
     GeneralProblem,
     InfeasibleError,
+    PositiveCycleError,
     RankOneProblem,
     SolutionFamily,
     TropMatrix,
@@ -21,6 +24,7 @@ from tropsched import (
     family_contains,
     family_member,
     outer,
+    reduce_instance,
     solve_deviation,
     solve_general,
     solve_makespan,
@@ -198,6 +202,153 @@ class TestGeneralSolver:
             assert fam1.theta == fam2.theta
             assert fam1.G == fam2.G
             assert fam1.u_high == fam2.u_high
+
+
+def enumerated_general(prob):
+    """(theta, G, u_high) of the general closed form with its sums taken
+    tuple by tuple: tr(A B^i1 ... A B^ik) over i1 + ... + ik <= n - k and
+    h~ B^i0 A B^i1 ... A B^ik g over i0 + ... + ik <= n - k - 1.  Exponential
+    in n.  Raises InfeasibleError of the kind solve_general would."""
+    A, B, g, h, n = prob.A, prob.B, prob.g, prob.h, prob.n
+    try:
+        star = B.star()
+    except PositiveCycleError as e:
+        raise InfeasibleError(str(e), kind="cycle") from e
+    hc = h.conj()
+    if (hc @ star) @ g > TropScalar(0):
+        raise InfeasibleError("box and linear constraints conflict", kind="bounds")
+    powers = [B**i for i in range(n)]
+    theta = TropScalar()
+    for k in range(1, n + 1):
+        for comb in product(range(n - k + 1), repeat=k):
+            if sum(comb) <= n - k:
+                m = TropMatrix.identity(n)
+                for i in comb:
+                    m = m @ A @ powers[i]
+                theta += m.trace() ** Fraction(1, k)
+        for comb in product(range(n - k), repeat=k + 1):
+            if sum(comb) <= n - k - 1:
+                r = hc @ powers[comb[0]]
+                for i in comb[1:]:
+                    r = r @ A @ powers[i]
+                theta += (r @ g) ** Fraction(1, k)
+    G = (theta.inv() * A + B).star()
+    return theta, G, (hc @ G).conj()
+
+
+def general_problem(rng, n, p_bottom, unit, potentials):
+    """A random GeneralProblem with entries in unit * [-3, 3], each of A, B
+    and g bottom with probability p_bottom; one diagonal entry of A is
+    finite, so the objective is never degenerate.  With `potentials`, B
+    and the box come from potentials pi as in `potential_problem`, so the
+    problem is feasible."""
+
+    def entry():
+        return N if rng.random() < p_bottom else rng.randint(-3, 3) * unit
+
+    A = [[entry() for _ in range(n)] for _ in range(n)]
+    i = rng.randrange(n)
+    A[i][i] = rng.randint(-3, 3) * unit
+    if potentials:
+        pi = [rng.randint(-3, 3) * unit for _ in range(n)]
+        B = [
+            [N if rng.random() < p_bottom else pi[i] - pi[j] - rng.randint(0, 2) * unit
+             for j in range(n)]
+            for i in range(n)
+        ]
+        g = [N if rng.random() < p_bottom else v - rng.randint(0, 2) * unit for v in pi]
+        h = [v + rng.randint(0, 2) * unit for v in pi]
+    else:
+        B = [[entry() for _ in range(n)] for _ in range(n)]
+        g = [entry() for _ in range(n)]
+        h = [rng.randint(-3, 3) * unit for _ in range(n)]
+    return GeneralProblem(
+        A=TropMatrix(A), B=TropMatrix(B), g=TropVector(g), h=TropVector(h)
+    )
+
+
+class TestGeneralRecurrence:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(1, 7),
+        st.sampled_from([0.2, 0.5, 0.8, 1.0]),
+        st.sampled_from([1, Fraction(1, 3)]),
+        st.booleans(),
+        st.integers(0, 2**32),
+    )
+    def test_matches_the_enumeration(self, n, p_bottom, unit, potentials, seed):
+        prob = general_problem(random.Random(seed), n, p_bottom, unit, potentials)
+        try:
+            expected = enumerated_general(prob)
+        except InfeasibleError as e:
+            with pytest.raises(InfeasibleError) as got:
+                solve_general(prob)
+            assert got.value.kind == e.kind
+            return
+        fam = solve_general(prob)
+        assert (fam.theta, fam.G, fam.u_high) == expected
+
+    @pytest.mark.parametrize(
+        "A, B, g, h, theta",
+        [
+            # the closed walk 2 -A-> 1 -B-> 3 -A-> 0 -B-> 2 weighs 0 over
+            # two A factors: the word A B A B, no rotation of a B^i A^k
+            (
+                [[N, N, N, N], [N, N, N, N], [N, 2, -2, N], [0, N, N, N]],
+                [[N, N, 1, N], [N, N, N, -3], [N, N, N, N], [N, N, N, N]],
+                [N, N, N, N],
+                [2, 4, 0, 6],
+                0,
+            ),
+            # h~ A B g = 3 + 2 - 2 + 0: the word A B
+            (
+                [[-2, 2, N], [N, N, N], [N, N, -2]],
+                [[N, N, N], [N, N, -2], [N, N, N]],
+                [N, N, 0],
+                [-3, -1, 3],
+                3,
+            ),
+        ],
+        ids=["trace", "boundary"],
+    )
+    def test_theta_set_by_a_word_with_a_before_b(self, A, B, g, h, theta):
+        prob = GeneralProblem(
+            A=TropMatrix(A), B=TropMatrix(B), g=TropVector(g), h=TropVector(h)
+        )
+        fam = solve_general(prob)
+        assert fam.theta == TropScalar(theta)
+        assert (fam.theta, fam.G, fam.u_high) == enumerated_general(prob)
+
+    def test_polynomial_time(self):
+        prob = general_problem(random.Random(11), 11, 0.5, 1, potentials=True)
+        elapsed = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            solve_general(prob)
+            elapsed.append(time.perf_counter() - t0)
+        assert min(elapsed) < 0.1, f"took {min(elapsed) * 1000:.1f} ms"
+
+    @pytest.mark.parametrize("n", [20, 24, 32])
+    def test_rank_one_on_kernels_agrees(self, n):
+        # numpy is imported, so the rank-one solve of these reduced
+        # problems runs on the int64 kernels
+        inst = randgen.layered_instance(random.Random(n), n)
+        R, s = reduce_instance(inst)
+        ones = TropVector.ones(n)
+        for solve, q in (
+            (solve_makespan, (ones @ inst.start_finish).conj()),
+            (solve_deviation, ones),
+        ):
+            rank_one = solve(inst)
+            assert rank_one.G._held_int_array() is not None
+            prob = RankOneProblem(p=ones, q=q, B=R, g=inst.release, h=s)
+            general = solve_general(
+                GeneralProblem(A=outer(ones, q.conj()), B=R, g=inst.release, h=s)
+            )
+            assert rank_one.theta == general.theta
+            for a, b in ((rank_one, general), (general, rank_one)):
+                for u in (a.u_low, a.u_high):
+                    assert family_contains(b, family_member(a, u), prob.objective)
 
 
 class TestInfeasible:
