@@ -22,10 +22,10 @@ of B^i p and q~ B^j, i, j <= n - 2; it keeps only some) stay within
 (4n - 2) M, and h~ G within (4n - 1) M; a bottom drifts by at most the same
 sums.  It asks `span_fits` of 4n.
 
-Project networks are sparse, so `closure`, `positive_cycle_pivot` and
-`matmul` work only on finite entries while those are under a quarter of
-the work (`_sparse`), and above that share take the dense slice update,
-whose drift the bounds above cover; the worst case stays O(n^3).
+Project networks are sparse, so `closure` and `matmul` work only on
+finite entries while those are under a quarter of the work (`_sparse`),
+and above that share take the dense slice update, whose drift the bounds
+above cover; the worst case stays O(n^3).
 
 At pivot k the closure updates d[i][j] only for rows with a finite
 d[i][k] and columns with a finite d[k][j]; any other sum through k has a
@@ -64,8 +64,7 @@ MAG_CAP = 1 << 50
 BOTTOM_CUTOFF = -(1 << 61)
 # a kernel gathers finite entries while they are under 1/4 of the work:
 # near where a gathered closure pivot costs as much as a dense one (1/5 to
-# 1/4 at n = 400); the witness pivots and the matmul columns reuse it
-# unmeasured
+# 1/4 at n = 400); the matmul columns reuse it unmeasured
 _DENSE_SHARE = 4
 
 
@@ -206,17 +205,6 @@ def _reset_bottom(a):
     return np.where(a > BOTTOM_CUTOFF, a, NEG)
 
 
-def _pivot_block(d, k):
-    """Index of the block of `d` that pivot k can raise, rows i with a
-    finite d[i][k] (as a column) by columns j with a finite d[k][j]; None
-    when that block is too large to gather."""
-    rows = (d[:, k] > BOTTOM_CUTOFF).nonzero()[0]
-    cols = (d[k] > BOTTOM_CUTOFF).nonzero()[0]
-    if _sparse(rows.size * cols.size, d.size):
-        return rows[:, None], cols
-    return None
-
-
 def max_product(b, d, c):
     """b max d c with bottoms at the sentinel, as `from_payload_rows` gives
     it; None when an entry exceeds MAG_CAP, which that conversion refuses."""
@@ -225,58 +213,40 @@ def max_product(b, d, c):
 
 
 def closure(a):
-    """Floyd-Warshall transitive closure A+ (max-plus), input left intact."""
-    d = _reset_bottom(a)
-    for k in range(d.shape[0]):
-        block = _pivot_block(d, k)
-        if block is None:
-            np.maximum(d, d[:, k, None] + d[None, k, :], out=d)
-            np.maximum(d, NEG, out=d)
-        else:
-            rows, cols = block
-            d[block] = np.maximum(d[block], d[rows, k] + d[k, cols])
-    return d
+    """Floyd-Warshall closure A+ (max-plus), input left intact, stopped
+    before the first pivot t whose diagonal d[t][t] is positive.
 
-
-def star(a):
-    """A* = I max A+ of square `a`, or None when a cycle is positive."""
-    d = closure(a)
-    if (d.diagonal() > 0).any():
-        return None
-    np.fill_diagonal(d, 0)
-    return d
-
-
-def positive_cycle_pivot(a):
-    """Floyd-Warshall with successor pointers, stopped at the first pivot k
-    where some d[i][k] + d[k][i] > 0.
-
-    Returns (i, k, succ): succ[u][v] is the node after u on the longest
-    path u -> v through pivots 0..k-1, so the walks i -> k and k -> i close
-    a positive walk.  Returns None when no cycle is positive.
+    Returns (d, t), with t = n when no cycle is positive.  Before pivot m,
+    d[m][m] is the heaviest cycle through m over nodes below m, so a
+    positive cycle whose highest node is m shows there, and the first one
+    stops the pass; `semiring._positive_cycle_witness` reads it off d.
+    Pivot k raises only the block of rows i with a finite d[i][k] by
+    columns j with a finite d[k][j]; it gathers that block while it is
+    sparse and updates d whole otherwise.
     """
     d = _reset_bottom(a)
     n = d.shape[0]
-    succ = np.broadcast_to(np.arange(n), (n, n)).copy()
     for k in range(n):
-        hits = (d[:, k] + d[k] > 0).nonzero()[0]
-        if hits.size:
-            return int(hits[0]), k, succ
-        block = _pivot_block(d, k)
-        if block is None:
-            through = d[:, k, None] + d[None, k, :]
-            better = through > d
-            np.copyto(d, through, where=better)
-            np.copyto(succ, succ[:, k, None], where=better)
+        if d[k, k] > 0:
+            return d, k
+        rows = (d[:, k] > BOTTOM_CUTOFF).nonzero()[0]
+        cols = (d[k] > BOTTOM_CUTOFF).nonzero()[0]
+        if _sparse(rows.size * cols.size, d.size):
+            block = rows[:, None], cols
+            d[block] = np.maximum(d[block], d[rows, k, None] + d[k, cols])
         else:
-            rows, cols = block
-            sub, via = d[block], succ[block]
-            through = d[rows, k] + d[k, cols]
-            better = through > sub
-            np.copyto(sub, through, where=better)
-            np.copyto(via, succ[rows, k], where=better)
-            d[block], succ[block] = sub, via
-    return None
+            np.maximum(d, d[:, k, None] + d[None, k, :], out=d)
+            np.maximum(d, NEG, out=d)
+    return d, n
+
+
+def star(a):
+    """(A* = I max A+, n) of square `a`, or the stopped `closure` (d, t)
+    when a cycle is positive."""
+    d, t = closure(a)
+    if t == d.shape[0]:
+        np.fill_diagonal(d, 0)
+    return d, t
 
 
 def running_maxima(b, x, cap, left=False):

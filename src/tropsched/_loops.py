@@ -2,6 +2,8 @@
 names and signatures, on payload rows (int / Fraction / float, None for
 bottom) instead of int64 arrays.  Exact for every number type; no numpy.
 A matrix is a sequence of rows, so one with no rows has no columns.
+Only `closure` compares with a tolerance: a float diagonal stops it only
+above FLOAT_TOL.
 
 The products and the chain steps visit only finite entries, listed once
 per call, in the order a dot over every position visits them, so that of
@@ -9,6 +11,12 @@ two equal sums (0.0 and -0.0 compare equal) the same one stays.
 """
 
 from __future__ import annotations
+
+# the float rounding noise tolerated: a float cycle is positive only above
+# it, the positive-cycle witness takes float sums within it (relative to
+# their size) as equal, and `scheduling.verify_schedule` forgives float
+# violations up to it
+FLOAT_TOL = 1e-9
 
 
 def _p_add(a, b):
@@ -111,11 +119,21 @@ def scale_max(acc, scale, base):
 
 
 def closure(a):
-    """Floyd-Warshall max-plus closure A+; returns mutable row lists."""
+    """Floyd-Warshall max-plus closure A+ as mutable row lists, stopped
+    before the first pivot t whose diagonal d[t][t] is positive.
+
+    Returns (d, t), with t = len(a) when no cycle is positive; see
+    `_kernels.closure`.  A float diagonal counts as positive only above
+    FLOAT_TOL, so that a cycle whose float weight is rounding noise
+    (0.1 + 0.2 - 0.3) does not make feasible data infeasible.
+    """
     d = [list(r) for r in a]
     n = len(d)
     for k in range(n):
         dk = d[k]
+        dkk = dk[k]
+        if dkk is not None and dkk > (FLOAT_TOL if type(dkk) is float else 0):
+            return d, k
         for i in range(n):
             dik = d[i][k]
             if dik is None:
@@ -128,48 +146,17 @@ def closure(a):
                 v = dik + dkj
                 if di[j] is None or v > di[j]:
                     di[j] = v
-    return d
+    return d, n
 
 
 def star(a):
-    """A* = I max A+ of square `a`, or None when a cycle is positive."""
-    d = closure(a)
-    for i, row in enumerate(d):
-        if row[i] is not None and row[i] > 0:
-            return None
-    for i, row in enumerate(d):
-        row[i] = 0
-    return d
-
-
-def positive_cycle_pivot(a):
-    """Floyd-Warshall with successor pointers, stopped at the first pivot k
-    where some d[i][k] + d[k][i] > 0; see `_kernels.positive_cycle_pivot`."""
-    d = [list(r) for r in a]
-    n = len(d)
-    succ = [list(range(n)) for _ in range(n)]
-    for k in range(n):
-        dk = d[k]
-        for i in range(n):
-            dik, dki = d[i][k], dk[i]
-            if dik is not None and dki is not None and dik + dki > 0:
-                return i, k, succ
-        for i in range(n):
-            dik = d[i][k]
-            if dik is None:
-                continue
-            di = d[i]
-            si = succ[i]
-            sik = si[k]
-            for j in range(n):
-                dkj = dk[j]
-                if dkj is None:
-                    continue
-                v = dik + dkj
-                if di[j] is None or v > di[j]:
-                    di[j] = v
-                    si[j] = sik
-    return None
+    """(A* = I max A+, n) of square `a`, or the stopped `closure` (d, t)
+    when a cycle is positive."""
+    d, t = closure(a)
+    if t == len(d):
+        for i, row in enumerate(d):
+            row[i] = 0
+    return d, t
 
 
 def running_maxima(b, x, cap, left=False):

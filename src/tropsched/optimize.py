@@ -138,8 +138,9 @@ class GeneralProblem(Record):
                 raise ValueError(f"{name} must have length {n}")
         if not self.h.is_regular:
             raise ValueError("upper bound h must be regular")
-        # the spectral radius is bottom iff no node reaches itself in A+
-        closed = _loops.closure(self.A._rows)
+        # the spectral radius is bottom iff no node reaches itself in A+;
+        # a closure stopped at a positive diagonal has a finite one
+        closed, _ = _loops.closure(self.A._rows)
         if all(closed[i][i] is None for i in range(n)):
             raise ValueError("degenerate objective: A has bottom spectral radius")
 

@@ -262,13 +262,13 @@ def _finite(v):
 
 
 def _auto_tol(inst, *vectors):
-    """0 for exact data, 1e-9 once any number of the instance or of
-    `vectors` is a float."""
+    """0 for exact data, `_loops.FLOAT_TOL` (1e-9) once any number of the
+    instance or of `vectors` is a float."""
     mats = (inst.start_start, inst.start_finish, inst.finish_start)
     vecs = (inst.release, inst.start_deadline, inst.finish_deadline) + vectors
     lags = (v for m in mats for _, _, v in m._entries())
     values = chain(lags, *(v._e for v in vecs))
-    return 1e-9 if any(isinstance(x, float) for x in values) else 0
+    return _loops.FLOAT_TOL if any(isinstance(x, float) for x in values) else 0
 
 
 def _finish_times(c_entries, x, n):

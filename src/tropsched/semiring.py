@@ -21,7 +21,7 @@ import sys
 from fractions import Fraction
 
 from . import _kernels, _loops
-from ._loops import _p_add
+from ._loops import FLOAT_TOL, _p_add
 
 __all__ = [
     "TropScalar",
@@ -571,15 +571,17 @@ class TropMatrix:
     def star(self):
         """Kleene star I + A + A^2 + ...; defined iff no cycle is positive.
 
-        Raises PositiveCycleError naming a witness cycle otherwise.
+        Raises PositiveCycleError naming a witness cycle otherwise.  A
+        cycle of float weight counts as positive only above FLOAT_TOL
+        (1e-9), so rounding noise around a zero cycle does not.
         """
         if not self.is_square:
             raise ValueError("star needs a square matrix")
         # a path sums at most n - 1 entries
         k, (a,), _ = _operands([self], span=self._nrows - 1)
-        closed = k.star(a)
-        if closed is None:
-            cycle, weight = _positive_cycle_witness(k, a)
+        closed, t = k.star(a)
+        if t < self._nrows:
+            cycle, weight = _positive_cycle_witness(k, a, closed, t)
             raise PositiveCycleError(cycle, _scalar(weight))
         return _matrix(k, closed)
 
@@ -674,73 +676,47 @@ def _matrix(k, form):
     return TropMatrix._from_rows(form)
 
 
-def _positive_cycle_witness(k, a):
-    """Find an elementary cycle of positive weight; returns (nodes, weight).
+def _positive_cycle_witness(k, a, d, t):
+    """An elementary cycle of positive weight, as (nodes, weight), read off
+    `d`, the closure of `a` stopped before pivot t with d[t][t] positive.
 
-    One Floyd-Warshall pass with successor pointers, stopped at the first
-    pivot k where some d[i][k] + d[k][i] > 0.  No earlier pivot closed a
-    positive cycle, so the successor walks i -> k and k -> i are longest
-    paths and together form a positive closed walk, which is then trimmed
-    to an elementary cycle.  Everything runs on `a`, the matrix in the form
-    of the backend module given as `k` (`_operands`): the pass on k, and
-    the diagonal and the walk's edges read as a[u][v], which payload rows
-    and int64 arrays both answer, so the matrix is never converted.  The
-    weight is a payload either way.
+    d[u][t] is then the longest path u -> t through nodes below t.  Call
+    an edge u -> v (a finite a[u][v]) tight when a[u][v] + d[v][t] equals
+    d[u][t] for v < t, or a[u][t] equals d[u][t] for v = t: every longest
+    path is made of tight edges, and the weights along a tight path from t
+    back to t telescope to d[t][t] > 0.  A breadth-first search from t over
+    tight edges so closes the cycle with the fewest edges, which is
+    elementary, in O(n^2).  Float sums are tight within a relative
+    FLOAT_TOL, since Floyd-Warshall adds the segments of a path in pivot
+    order, not along it.  `a` and `d` are in the form of backend `k`
+    (`_operands`); only the rows of a that the search reaches and column t
+    of d are read as payloads, and the weight is a payload.
     """
-    n = len(a)
-    for i in range(n):
-        v = a[i][i]
-        if v is not None and v > 0:
-            walk = [i, i]
-            break
-    else:
-        hit = k.positive_cycle_pivot(a)
-        if hit is None:
-            raise AssertionError("no positive cycle found despite positive diagonal")
-        i, pivot, succ = hit
-        walk = _successor_path(succ, i, pivot, n)
-        walk += _successor_path(succ, pivot, i, n)[1:]
-    cycle, weight = _trim_to_positive_cycle(a, walk)
-    # an int64 entry reads as a numpy integer
-    return cycle, int(weight) if k is _kernels else weight
+    into = k.to_payload_vec(k.transpose(d)[t])
+    paths = {t: ((t,), 0)}
+    queue = [t]
+    for u in queue:
+        path, weight = paths[u]
+        for v, x in enumerate(k.to_payload_vec(a[u])):
+            if x is None or v > t:
+                continue
+            if v == t:
+                if _tight(x, into[u]):
+                    return path, weight + x
+            elif v not in paths and into[v] is not None and _tight(
+                x + into[v], into[u]
+            ):
+                paths[v] = path + (v,), weight + x
+                queue.append(v)
+    raise AssertionError("no tight cycle closes at the stopped pivot")
 
 
-def _successor_path(succ, i, j, n):
-    """Nodes of the path i -> j read off successor pointers (at least one
-    edge, so i == j gives a closed walk)."""
-    path = [i]
-    for _ in range(n):
-        i = int(succ[i][j])
-        path.append(i)
-        if i == j:
-            return path
-    raise AssertionError("successor pointers do not lead to the target")
-
-
-def _trim_to_positive_cycle(a, walk):
-    """Trim a closed walk of positive weight in the matrix `a` to an
-    elementary positive cycle by splicing out non-positive sub-cycles."""
-    stack = [walk[0]]
-    cums = [0]
-    pos = {walk[0]: 0}
-    cum = 0
-    for node in walk[1:]:
-        cum = cum + a[stack[-1]][node]
-        if node in pos:
-            t0 = pos[node]
-            cw = cum - cums[t0]
-            if cw > 0:
-                return tuple(stack[t0:]), cw
-            for v in stack[t0 + 1:]:
-                del pos[v]
-            del stack[t0 + 1:]
-            del cums[t0 + 1:]
-            cum = cums[t0]
-        else:
-            pos[node] = len(stack)
-            stack.append(node)
-            cums.append(cum)
-    raise AssertionError("positive walk contained no positive cycle")
+def _tight(s, target):
+    """s == target, within a relative FLOAT_TOL when either is a float."""
+    return s == target or (
+        (type(s) is float or type(target) is float)
+        and abs(s - target) <= FLOAT_TOL * max(1.0, abs(target))
+    )
 
 
 def outer(x, y):

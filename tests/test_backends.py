@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tropsched import PositiveCycleError, TropMatrix, _kernels, _loops, semiring
-from tropsched.semiring import _operands, _payload, _successor_path
+from tropsched.semiring import _operands, _payload
 
 N = None
 
@@ -38,11 +38,6 @@ def vec(arr):
 
 def loops_rows(form):
     return tuple(map(tuple, form))
-
-
-def walk(hit, n):
-    i, k, succ = hit
-    return _successor_path(succ, i, k, n) + _successor_path(succ, k, i, n)[1:]
 
 
 class TestPayloadKernelsMatchInt64:
@@ -87,33 +82,19 @@ class TestPayloadKernelsMatchInt64:
     @given(SIZES, BOTTOMS, SEEDS, st.sampled_from([0, 2]))
     def test_star(self, n, bottoms, seed, hi):
         # hi = 0 leaves no cycle positive; hi = 2 often closes one, and
-        # then both return None
+        # then both stop at the same pivot with the same partial closure
         rng = np.random.default_rng(seed)
         a = rand_array(rng, (n, n), bottoms, hi=hi)
-        got, want = _loops.star(rows(a)), _kernels.star(a)
-        if want is None:
-            assert got is None
-        else:
-            assert loops_rows(got) == rows(want)
+        (got, t), (want, u) = _loops.star(rows(a)), _kernels.star(a)
+        assert t == u
+        assert loops_rows(got) == rows(want)
 
     def test_star_of_a_positive_cycle(self):
+        # the cycle 0 -> 1 -> 2 -> 0 first closes at its highest node
         a = np.full((3, 3), _kernels.NEG, dtype=np.int64)
         a[0, 1], a[1, 2], a[2, 0] = 2, -1, 0
-        assert _loops.star(rows(a)) is None
-        assert _kernels.star(a) is None
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(2, 45), BOTTOMS, SEEDS)
-    def test_positive_cycle_pivot(self, n, bottoms, seed):
-        rng = np.random.default_rng(seed)
-        a = rand_array(rng, (n, n), bottoms, hi=2)
-        np.fill_diagonal(a, _kernels.NEG)
-        got, want = _loops.positive_cycle_pivot(rows(a)), _kernels.positive_cycle_pivot(a)
-        if want is None:
-            assert got is None
-            return
-        assert got[:2] == want[:2]
-        assert walk(got, n) == walk(want, n)
+        assert _loops.star(rows(a))[1] == 2
+        assert _kernels.star(a)[1] == 2
 
     @settings(max_examples=40, deadline=None)
     @given(SIZES, BOTTOMS, SEEDS, st.booleans())
@@ -241,7 +222,7 @@ class TestWitnessOnKernels:
         a = rand_array(rng, (n, n), bottoms, hi=2)
         if not loops:
             np.fill_diagonal(a, _kernels.NEG)
-        if _kernels.star(a) is not None:
+        if _kernels.star(a)[1] == n:
             return
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(_kernels, "to_payload_rows", no_boxing)

@@ -167,6 +167,24 @@ class TestSolve:
             assert main(argv) == 2
             assert message in capsys.readouterr().err
 
+    def test_float_rounding_cycle_is_not_infeasible(self, tmp_path, capsys):
+        # the lags of a -> b -> c -> a sum to 0, and in float to 5.55e-17
+        path = tmp_path / "cycle.inst"
+        path.write_text(
+            "".join(
+                f"activity {v} start-by=9 finish-by=9\nstart-finish {v} -> {v} lag=1\n"
+                for v in "abc"
+            )
+            + "start-start a -> b lag=0.1\n"
+            "start-start b -> c lag=0.2\n"
+            "start-start c -> a lag=-0.3\n"
+        )
+        argv = ["solve", str(path), "--objective", "makespan", "--format", "json"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["theta"] == "13/10"
+        assert main([*argv, "--mode", "float"]) == 0
+        assert abs(json.loads(capsys.readouterr().out)["theta"] - 1.3) <= 1e-9
+
     def test_float_overflow_is_exit_2(self, tmp_path, capsys):
         # the makespan 1e308 + 1e308 overflows to inf in float arithmetic
         path = tmp_path / "huge.inst"

@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import golden
 import randgen
 from tropsched import (
+    EmptyBoxError,
     GeneralProblem,
     InfeasibleError,
     PositiveCycleError,
@@ -267,6 +268,20 @@ def general_problem(rng, n, p_bottom, unit, potentials):
     )
 
 
+def general_outcome(seed, unit):
+    """theta of a random `general_problem` in `unit`, or what ended it:
+    the InfeasibleError kind, or "empty box"."""
+    rng = random.Random(seed)
+    n, p_bottom = rng.randint(1, 7), rng.choice([0.2, 0.5, 0.8, 1.0])
+    prob = general_problem(rng, n, p_bottom, unit, rng.random() < 0.5)
+    try:
+        return solve_general(prob).theta.value
+    except InfeasibleError as e:
+        return e.kind
+    except EmptyBoxError:
+        return "empty box"
+
+
 class TestGeneralRecurrence:
     @settings(max_examples=80, deadline=None)
     @given(
@@ -287,6 +302,22 @@ class TestGeneralRecurrence:
             return
         fam = solve_general(prob)
         assert (fam.theta, fam.G, fam.u_high) == expected
+
+    def test_float_problems_in_tenths(self):
+        # the same draws in float and in exact tenths: a rounded theta
+        # leaves cycles of theta^-1 A + B about 1e-17 above 0, which must
+        # not make the generator star diverge, and a rounding cycle of B
+        # must not read as a positive one.  The box gate still compares the
+        # float gate with 0 exactly, so rounding may end a float problem
+        # that exact arithmetic solves on "bounds" or on an empty box
+        solved = 0
+        for seed in range(300):
+            got, want = (general_outcome(seed, unit) for unit in (0.1, Fraction(1, 10)))
+            assert (got == "cycle") == (want == "cycle")
+            if not isinstance(got, str) and not isinstance(want, str):
+                assert abs(got - want) <= 1e-9
+                solved += 1
+        assert solved >= 100
 
     @pytest.mark.parametrize(
         "A, B, g, h, theta",
