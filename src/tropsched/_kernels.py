@@ -144,6 +144,14 @@ def to_payload_vec(arr):
     return tuple(None if x <= BOTTOM_CUTOFF else x for x in arr.tolist())
 
 
+def row_entries(a, i):
+    """The finite entries of row i of `a` as `(col, payload)` pairs, in
+    ascending column order; the bottoms are never boxed."""
+    row = a[i]
+    cols = (row > BOTTOM_CUTOFF).nonzero()[0]
+    return list(zip(cols.tolist(), row[cols].tolist()))
+
+
 def json_rows(arr):
     """The rows of `arr` as lists of JSON tokens: null for a bottom, a
     quoted integer otherwise, as the exact result document writes them."""
@@ -203,13 +211,6 @@ def span_fits(k, *arrays):
 def _reset_bottom(a):
     """Copy of `a` with every bottom entry back at the sentinel."""
     return np.where(a > BOTTOM_CUTOFF, a, NEG)
-
-
-def max_product(b, d, c):
-    """b max d c with bottoms at the sentinel, as `from_payload_rows` gives
-    it; None when an entry exceeds MAG_CAP, which that conversion refuses."""
-    r = _reset_bottom(np.maximum(b, matmul(d, c)))
-    return r if _magnitude(r) <= MAG_CAP else None
 
 
 def closure(a):

@@ -2,8 +2,8 @@
 names and signatures, on payload rows (int / Fraction / float, None for
 bottom) instead of int64 arrays.  Exact for every number type; no numpy.
 A matrix is a sequence of rows, so one with no rows has no columns.
-Only `closure` compares with a tolerance: a float diagonal stops it only
-above FLOAT_TOL.
+Only `closure` compares with a tolerance (`_positive`): a float diagonal
+stops it only above FLOAT_TOL.
 
 The products and the chain steps visit only finite entries, listed once
 per call, in the order a dot over every position visits them, so that of
@@ -12,11 +12,17 @@ two equal sums (0.0 and -0.0 compare equal) the same one stays.
 
 from __future__ import annotations
 
-# the float rounding noise tolerated: a float cycle is positive only above
-# it, the positive-cycle witness takes float sums within it (relative to
-# their size) as equal, and `scheduling.verify_schedule` forgives float
-# violations up to it
+# the float rounding noise tolerated: a float cycle and a float box gate
+# h~ B* g are positive only above it, the positive-cycle witness takes
+# float sums within it (relative to their size) as equal, and
+# `scheduling.verify_schedule` forgives float violations up to it
 FLOAT_TOL = 1e-9
+
+
+def _positive(v):
+    """v > 0 for a finite payload v; a float only above FLOAT_TOL, so that
+    rounding noise around 0 is not positive."""
+    return v > (FLOAT_TOL if type(v) is float else 0)
 
 
 def _p_add(a, b):
@@ -41,7 +47,7 @@ def dot(u, v):
 
 def _finite_rows(b):
     """Per row of `b`, the list of its finite entries `(col, value)`."""
-    return [[(j, x) for j, x in enumerate(row) if x is not None] for row in b]
+    return [row_entries(b, i) for i in range(len(b))]
 
 
 def _fold(v, fin, ncols):
@@ -100,11 +106,10 @@ def to_payload_vec(v):
     return tuple(v)
 
 
-def max_product(b, d, c):
-    """b max d c."""
-    return tuple(
-        tuple(map(_p_add, rb, rdc)) for rb, rdc in zip(b, matmul(d, c))
-    )
+def row_entries(a, i):
+    """The finite entries of row i of `a` as `(col, payload)` pairs, in
+    ascending column order."""
+    return [(j, x) for j, x in enumerate(a[i]) if x is not None]
 
 
 def scale_max(acc, scale, base):
@@ -131,8 +136,7 @@ def closure(a):
     n = len(d)
     for k in range(n):
         dk = d[k]
-        dkk = dk[k]
-        if dkk is not None and dkk > (FLOAT_TOL if type(dkk) is float else 0):
+        if dk[k] is not None and _positive(dk[k]):
             return d, k
         for i in range(n):
             dik = d[i][k]

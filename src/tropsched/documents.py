@@ -135,27 +135,33 @@ def parse_instance(text, *, mode="exact"):
     index: dict[str, int] = {}
     acts: list[dict] = []
     raw_cons: list[tuple] = []
+    numbers = {}
 
-    for ln, raw in enumerate(text.splitlines(), 1):
-        line = raw
-        pos = line.find("#")
-        if pos != -1:
-            line = line[:pos]
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("title:"):
-            if title is not None:
-                raise InstanceFormatError("duplicate title", line=ln)
-            title = line[len("title:"):].strip() or None
-            continue
-        if line.startswith("unit:"):
-            if unit is not None:
-                raise InstanceFormatError("duplicate unit", line=ln)
-            unit = line[len("unit:"):].strip() or None
-            continue
+    def number(tok, ln):
+        # a project file repeats a few numbers: each is read once, as a payload
+        v = numbers.get(tok)
+        if v is None:
+            v = numbers[tok] = TropScalar(_parse_number(tok, mode, ln)).value
+        return v
+
+    # each line is split once; constraint lines, most of a project file,
+    # are tried first, and the names they use are resolved after the
+    # activity lines are all read
+    for ln, line in enumerate(text.splitlines(), 1):
+        if "#" in line:
+            line = line[: line.index("#")]
         toks = line.split()
-        if toks[0] == "activity":
+        if not toks:
+            continue
+        head = toks[0]
+        if head in _KINDS:
+            if len(toks) != 5 or toks[2] != "->" or toks[4][:4] != "lag=":
+                raise InstanceFormatError(
+                    f"expected '{head} <from> -> <to> lag=<number>'", line=ln
+                )
+            lag = number(toks[4][4:], ln)
+            raw_cons.append((head, toks[1], toks[3], lag, ln))
+        elif head == "activity":
             if len(toks) < 2:
                 raise InstanceFormatError("activity needs a name", line=ln)
             name = toks[1]
@@ -174,7 +180,7 @@ def parse_instance(text, *, mode="exact"):
                     )
                 if key in fields:
                     raise InstanceFormatError(f"duplicate field {key!r}", line=ln)
-                fields[key] = _parse_number(val, mode, ln)
+                fields[key] = number(val, ln)
             for key in ("start-by", "finish-by"):
                 if key not in fields:
                     raise InstanceFormatError(
@@ -183,41 +189,36 @@ def parse_instance(text, *, mode="exact"):
             index[name] = len(names)
             names.append(name)
             acts.append(fields)
-        elif toks[0] in _KINDS:
-            if (
-                len(toks) != 5
-                or toks[2] != "->"
-                or not toks[4].startswith("lag=")
-            ):
-                raise InstanceFormatError(
-                    f"expected '{toks[0]} <from> -> <to> lag=<number>'", line=ln
-                )
-            lag = _parse_number(toks[4][len("lag="):], mode, ln)
-            raw_cons.append((toks[0], toks[1], toks[3], lag, ln))
+        elif head.startswith("title:"):
+            if title is not None:
+                raise InstanceFormatError("duplicate title", line=ln)
+            title = line.strip()[len("title:"):].strip() or None
+        elif head.startswith("unit:"):
+            if unit is not None:
+                raise InstanceFormatError("duplicate unit", line=ln)
+            unit = line.strip()[len("unit:"):].strip() or None
         else:
-            raise InstanceFormatError(f"unknown directive {toks[0]!r}", line=ln)
+            raise InstanceFormatError(f"unknown directive {head!r}", line=ln)
 
     if not names:
         raise InstanceFormatError("no activities defined")
     n = len(names)
-    finite = {kind: [] for kind in _KINDS}
-    seen = set()
+    finite = {kind: {} for kind in _KINDS}
     for kind, src, dst, lag, ln in raw_cons:
-        for nm in (src, dst):
-            if nm not in index:
-                raise InstanceFormatError(f"unknown activity {nm!r}", line=ln)
-        key = (kind, src, dst)
-        if key in seen:
+        j = index.get(src)
+        i = index.get(dst)
+        if j is None or i is None:
+            nm = src if j is None else dst
+            raise InstanceFormatError(f"unknown activity {nm!r}", line=ln)
+        # "src -> dst" bounds dst from src: row dst, column src
+        lags = finite[kind]
+        if (i, j) in lags:
             raise InstanceFormatError(
                 f"duplicate constraint {kind} {src} -> {dst}", line=ln
             )
-        seen.add(key)
-        # "src -> dst" bounds dst from src: row dst, column src
-        if type(lag) is not int:
-            lag = TropScalar(lag).value
-        finite[kind].append((index[dst], index[src], lag))
+        lags[i, j] = lag
 
-    sf_sources = {j for _, j, _ in finite["start-finish"]}
+    sf_sources = {j for _, j in finite["start-finish"]}
     for j, name in enumerate(names):
         if j not in sf_sources:
             raise InstanceFormatError(
@@ -226,19 +227,20 @@ def parse_instance(text, *, mode="exact"):
                 f" 'start-finish {name} -> {name} lag=<duration>'"
             )
     ss = finite["start-start"]
-    on_diagonal = {i for i, j, _ in ss if i == j}
-    ss.extend((i, i, 0) for i in range(n) if i not in on_diagonal)
+    for i in range(n):
+        ss.setdefault((i, i), 0)
 
     def matrix(kind):
-        return TropMatrix._from_entries((n, n), finite[kind])
+        entries = [(i, j, v) for (i, j), v in finite[kind].items()]
+        return TropMatrix._from_entries((n, n), entries)
 
     inst = ProjectInstance(
         start_start=matrix("start-start"),
         start_finish=matrix("start-finish"),
         finish_start=matrix("finish-start"),
-        release=TropVector(a.get("release") for a in acts),
-        start_deadline=TropVector(a["start-by"] for a in acts),
-        finish_deadline=TropVector(a["finish-by"] for a in acts),
+        release=TropVector._from_payloads(a.get("release") for a in acts),
+        start_deadline=TropVector._from_payloads(a["start-by"] for a in acts),
+        finish_deadline=TropVector._from_payloads(a["finish-by"] for a in acts),
     )
     return InstanceDocument(
         names=tuple(names), instance=inst, title=title, unit=unit

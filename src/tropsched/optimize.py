@@ -35,7 +35,6 @@ from . import _loops
 from ._record import Record
 from .semiring import (
     BOTTOM,
-    ONE,
     PositiveCycleError,
     TropMatrix,
     TropScalar,
@@ -187,7 +186,8 @@ def _constraint_star(B):
 
 
 def _check_box_gate(gate):
-    if not (gate <= ONE):
+    # a float gate is positive only above FLOAT_TOL, as a cycle is in the star
+    if gate.value is not None and _loops._positive(gate.value):
         raise InfeasibleError(
             f"box and linear constraints conflict (h~ B* g = {gate} > 0)",
             kind="bounds",

@@ -32,8 +32,6 @@ from .semiring import (
     TropMatrix,
     TropScalar,
     TropVector,
-    _matrix,
-    _operands,
     _p_add,
     _p_lt,
     _p_str,
@@ -162,26 +160,37 @@ class ScheduleReport(Record):
 def reduce_instance(inst):
     """Combined precedence matrix R = B + D C and start ceiling s = (f~ C + h~)~.
 
-    R is computed on the backend `semiring._operands` picks for B, D and C,
-    so the solver receives it in that form; on payloads when an entry of R
-    exceeds the int64 kernels' bound.
+    Both are summed over the finite entries of B, D and C alone, in the
+    order of the dense products (inner index ascending), and of two equal
+    sums the first stays, so float results keep their signs of zero.  R
+    holds only its finite entries, as the parsed matrices do; the star
+    converts it to its backend's form.
     """
-    mats = (inst.start_start, inst.finish_start, inst.start_finish)
-    k, forms, _ = _operands(mats)
-    r = k.max_product(*forms)
-    if r is None:
-        k = _loops
-        r = k.max_product(*(m._rows for m in mats))
-    R = _matrix(k, r)
-    s_conj = (inst.finish_deadline.conj() @ inst.start_finish) + inst.start_deadline.conj()
-    return R, s_conj.conj()
+    n = inst.n
+    c = inst.start_finish._entries()
+    c_rows = [[] for _ in range(n)]
+    for k, j, lag in c:
+        c_rows[k].append((j, lag))
+    # B first, then the terms of D C: the first of equal sums stays
+    r = {(i, j): v for i, j, v in inst.start_start._entries()}
+    for i, k, lag in inst.finish_start._entries():
+        for j, x in c_rows[k]:
+            v = lag + x
+            o = r.get((i, j))
+            if o is None or v > o:
+                r[i, j] = v
+    R = TropMatrix._from_entries((n, n), [(i, j, v) for (i, j), v in r.items()])
+    f_c = _left_product(inst.finish_deadline.conj()._e, c, n)
+    s_conj = map(_p_add, f_c, inst.start_deadline.conj()._e)
+    return R, TropVector._from_payloads(s_conj).conj()
 
 
 def _solve(inst, objective):
     R, s = reduce_instance(inst)
     ones = TropVector.ones(inst.n)
     if objective == "makespan":
-        q = (ones @ inst.start_finish).conj()
+        q = _left_product(ones._e, inst.start_finish._entries(), inst.n)
+        q = TropVector._from_payloads(q).conj()
     else:
         q = ones
     prob = RankOneProblem(p=ones, q=q, B=R, g=inst.release, h=s)
@@ -219,7 +228,9 @@ def extract_schedule(fam, u):
     """Schedule at parameter u: starts x = G u, finishes y = C x, checked
     to satisfy the instance and attain theta (AssertionError otherwise)."""
     x = family_member(fam, u)
-    y = fam.instance.start_finish @ x
+    inst = fam.instance
+    y = _finish_times(inst.start_finish._entries(), x._e, inst.n)
+    y = TropVector._from_payloads(y)
     if not y.is_regular:
         raise ValueError(
             "some activity has no start-finish constraint defining its completion"
@@ -269,6 +280,12 @@ def _auto_tol(inst, *vectors):
     lags = (v for m in mats for _, _, v in m._entries())
     values = chain(lags, *(v._e for v in vecs))
     return _loops.FLOAT_TOL if any(isinstance(x, float) for x in values) else 0
+
+
+def _left_product(v, c_entries, n):
+    """v C as a payload list: C x over the transposed entries, which meet
+    each column's terms in ascending row order, as `_loops.vecmat` does."""
+    return _finish_times([(j, k, lag) for k, j, lag in c_entries], v, n)
 
 
 def _finish_times(c_entries, x, n):

@@ -336,8 +336,8 @@ class TropMatrix:
     It is stored in one of three forms, and builds the payload rows from
     the other two only when they are first read: the rows themselves; the
     int64 array a kernel made; or the row-major list of its finite entries
-    `(row, col, payload)`, as parsed instance matrices are, which also
-    builds the int64 array.
+    `(row, col, payload)`, as parsed instance matrices and the reduced R
+    are, which also builds the int64 array.  That list is kept once read.
     """
 
     __slots__ = ("_rowcache", "_nrows", "_ncols", "_intcache", "_finite")
@@ -400,15 +400,16 @@ class TropMatrix:
         return self._rowcache
 
     def _entries(self):
-        """The finite entries as `(row, col, payload)`, row-major."""
-        if self._finite is not None:
-            return self._finite
-        return [
-            (i, j, v)
-            for i, row in enumerate(self._rows)
-            for j, v in enumerate(row)
-            if v is not None
-        ]
+        """The finite entries as `(row, col, payload)`, row-major; listed
+        once, on the first call, for a matrix held in another form."""
+        if self._finite is None:
+            self._finite = [
+                (i, j, v)
+                for i, row in enumerate(self._rows)
+                for j, v in enumerate(row)
+                if v is not None
+            ]
+        return self._finite
 
     @classmethod
     def identity(cls, n):
@@ -689,17 +690,18 @@ def _positive_cycle_witness(k, a, d, t):
     elementary, in O(n^2).  Float sums are tight within a relative
     FLOAT_TOL, since Floyd-Warshall adds the segments of a path in pivot
     order, not along it.  `a` and `d` are in the form of backend `k`
-    (`_operands`); only the rows of a that the search reaches and column t
-    of d are read as payloads, and the weight is a payload.
+    (`_operands`); only column t of d and the finite entries of the rows of
+    a that the search reaches, in ascending column order, are read as
+    payloads, and the weight is a payload.
     """
     into = k.to_payload_vec(k.transpose(d)[t])
     paths = {t: ((t,), 0)}
     queue = [t]
     for u in queue:
         path, weight = paths[u]
-        for v, x in enumerate(k.to_payload_vec(a[u])):
-            if x is None or v > t:
-                continue
+        for v, x in k.row_entries(a, u):
+            if v > t:
+                break
             if v == t:
                 if _tight(x, into[u]):
                     return path, weight + x

@@ -70,13 +70,21 @@ class TestPayloadKernelsMatchInt64:
 
     @settings(max_examples=40, deadline=None)
     @given(SIZES, BOTTOMS, SEEDS, st.integers(-20, 20))
-    def test_max_product_and_scale_max(self, n, bottoms, seed, scale):
+    def test_scale_max(self, n, bottoms, seed, scale):
         rng = np.random.default_rng(seed)
-        b, d, c = (rand_array(rng, (n, n), bottoms) for _ in range(3))
-        got = _loops.max_product(rows(b), rows(d), rows(c))
-        assert loops_rows(got) == rows(_kernels.max_product(b, d, c))
+        b, d = (rand_array(rng, (n, n), bottoms) for _ in range(2))
         got = _loops.scale_max(rows(d), scale, rows(b))
         assert loops_rows(got) == rows(_kernels.scale_max(d, scale, b))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 45), BOTTOMS, SEEDS)
+    def test_row_entries(self, n, bottoms, seed):
+        rng = np.random.default_rng(seed)
+        a = rand_array(rng, (n, n), bottoms)
+        for i in range(n):
+            want = [(j, x) for j, x in enumerate(rows(a)[i]) if x is not None]
+            assert list(_loops.row_entries(rows(a), i)) == want
+            assert list(_kernels.row_entries(a, i)) == want
 
     @settings(max_examples=40, deadline=None)
     @given(SIZES, BOTTOMS, SEEDS, st.sampled_from([0, 2]))

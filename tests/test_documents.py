@@ -293,6 +293,25 @@ class TestParseErrors:
         e = self._err(base + "start-start a -> a lag=1\nstart-start a -> a lag=2\n")
         assert "duplicate constraint start-start a -> a" in str(e)
 
+    def test_line_errors_precede_name_errors(self):
+        # constraint names resolve once every line is read: a malformed
+        # line anywhere is reported before an unknown name on an earlier one
+        e = self._err(
+            "start-start a -> z lag=1\nactivity -x start-by=1 finish-by=2\n"
+        )
+        assert "bad activity name" in str(e) and e.line == 2
+        e = self._err(
+            "activity a start-by=1 finish-by=2\nstart-finish a -> a lag=1\n"
+            "start-start a -> z lag=1\nstart-start y -> a lag=1\n"
+        )
+        assert "unknown activity 'z'" in str(e) and e.line == 3
+        # a number is read once per file, but a bad one is never kept
+        e = self._err(
+            "activity a start-by=1 finish-by=2\nstart-finish a -> a lag=1e3\n"
+            "start-start a -> a lag=1e3\n"
+        )
+        assert "scientific notation" in str(e) and e.line == 2
+
     def test_structural_errors(self):
         assert "no activities defined" in str(self._err("# empty\n"))
         e = self._err("activity a start-by=1 finish-by=2\n")

@@ -306,14 +306,16 @@ class TestGeneralRecurrence:
     def test_float_problems_in_tenths(self):
         # the same draws in float and in exact tenths: a rounded theta
         # leaves cycles of theta^-1 A + B about 1e-17 above 0, which must
-        # not make the generator star diverge, and a rounding cycle of B
-        # must not read as a positive one.  The box gate still compares the
-        # float gate with 0 exactly, so rounding may end a float problem
-        # that exact arithmetic solves on "bounds" or on an empty box
+        # not make the generator star diverge, a rounding cycle of B must
+        # not read as a positive one, and a box gate h~ B* g rounded just
+        # above 0 must not read as a conflict.  The box itself is still
+        # compared exactly, so rounding may leave a float problem that
+        # exact arithmetic solves with an empty box
         solved = 0
         for seed in range(300):
             got, want = (general_outcome(seed, unit) for unit in (0.1, Fraction(1, 10)))
             assert (got == "cycle") == (want == "cycle")
+            assert got != "bounds" or want == "bounds"
             if not isinstance(got, str) and not isinstance(want, str):
                 assert abs(got - want) <= 1e-9
                 solved += 1
@@ -420,6 +422,27 @@ class TestInfeasible:
         with pytest.raises(InfeasibleError) as ei:
             solve_general(gen)
         assert ei.value.kind == "bounds"
+
+    @pytest.mark.parametrize("above", [0, 1e-6])
+    def test_float_gate_within_the_tolerance(self, above):
+        # x0 >= x1 + 0.1 >= x2 + 0.3 against x0 <= 0.3: the gate h~ B* g is
+        # 0 in exact tenths and 5.55e-17 in float, which is no conflict;
+        # the rounded box is then empty, the documented float failure
+        prob = RankOneProblem(
+            p=TropVector.ones(3),
+            q=TropVector.ones(3),
+            B=TropMatrix([[N, 0.1, N], [N, N, 0.2], [N, N, N]]),
+            g=TropVector([N, N, 0]),
+            h=TropVector([0.3 - above, 5, 5]),
+        )
+        if above:
+            with pytest.raises(InfeasibleError) as ei:
+                solve_rank_one(prob)
+            assert ei.value.kind == "bounds"
+        else:
+            assert (prob.h.conj() @ prob.B.star()) @ prob.g > TropScalar(0)
+            with pytest.raises(EmptyBoxError):
+                solve_rank_one(prob)
 
 
 class TestValidation:

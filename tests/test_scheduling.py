@@ -29,7 +29,7 @@ from tropsched import (
 )
 from tropsched import _kernels, _loops
 from tropsched.scheduling import _auto_tol, _violations
-from tropsched.semiring import _MISSING, _p_str
+from tropsched.semiring import _MISSING, _operands, _p_str
 
 N = None
 
@@ -82,13 +82,122 @@ def solve_without_kernels(build, monkeypatch):
     return fam.theta, fam.G, fam.u_high
 
 
+def dense_reduction(inst):
+    """(R, s) payload rows and tuple by dense loops over every position:
+    R = B + D C and s = (f~ C + h~)~, inner index ascending, and of two
+    equal sums the first kept, as the payload products keep it."""
+    b, c, d = (m._rows for m in (inst.start_start, inst.start_finish, inst.finish_start))
+    n = inst.n
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            dc = None
+            for k in range(n):
+                if d[i][k] is not None and c[k][j] is not None:
+                    v = d[i][k] + c[k][j]
+                    if dc is None or v > dc:
+                        dc = v
+            row.append(b[i][j] if dc is None or (b[i][j] is not None and b[i][j] >= dc) else dc)
+        rows.append(tuple(row))
+    f, h = inst.finish_deadline._e, inst.start_deadline._e
+    s = []
+    for j in range(n):
+        fc = None
+        for k in range(n):
+            if c[k][j] is not None:
+                v = -f[k] + c[k][j]
+                if fc is None or v > fc:
+                    fc = v
+        s.append(-(fc if fc >= -h[j] else -h[j]))
+    return tuple(rows), tuple(s)
+
+
+LAGS = {
+    "ints": lambda rng: rng.choice([2**50, 2**50 + 1, -(2**51)])
+    if rng.random() < 0.1 else rng.randint(-9, 9),
+    "fractions": lambda rng: Fraction(rng.randint(-54, 54), rng.randint(1, 6)),
+    "floats": lambda rng: rng.choice([0.0, -0.0, 0.1, -0.1, 0.2, 0.30000000000000004, -0.3]),
+}
+
+
+@st.composite
+def lag_instances(draw):
+    """A random instance of 1-8 activities whose numbers are all of one
+    type: ints (some past 2^50), Fractions, or floats with both zeros, so
+    that sums tie and the first of them must stay."""
+    lag = LAGS[draw(st.sampled_from(sorted(LAGS)))]
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n = rng.randint(1, 8)
+    p = rng.choice([0.2, 0.5, 1.0])
+    b, c, d = (
+        [[lag(rng) if rng.random() < p else N for _ in range(n)] for _ in range(n)]
+        for _ in range(3)
+    )
+    for j in range(n):
+        c[j][j] = lag(rng)
+    h, f = ([lag(rng) for _ in range(n)] for _ in range(2))
+    return ProjectInstance(
+        start_start=TropMatrix(b),
+        start_finish=TropMatrix(c),
+        finish_start=TropMatrix(d),
+        release=TropVector([N] * n),
+        start_deadline=TropVector(h),
+        finish_deadline=TropVector(f),
+    )
+
+
+class TestReduceOnEntries:
+    """R and s are summed over the finite entries of B, D and C alone."""
+
+    @pytest.mark.parametrize("b, d, c, r", [
+        (0.0, -0.0, -0.0, "0.0"),
+        (-0.0, 0.0, 0.0, "-0.0"),
+        (None, -0.0, 0.0, "0.0"),
+        (None, -0.0, -0.0, "-0.0"),
+    ])
+    def test_equal_sums_keep_the_first(self, b, d, c, r):
+        # of B and a D C term that tie, B stays: 0.0 == -0.0
+        inst = ProjectInstance(
+            start_start=TropMatrix([[b]]),
+            start_finish=TropMatrix([[c]]),
+            finish_start=TropMatrix([[d]]),
+            release=TropVector([N]),
+            start_deadline=TropVector([0.0]),
+            finish_deadline=TropVector([-0.0]),
+        )
+        R, s = reduce_instance(inst)
+        assert repr(R._rows) == repr(dense_reduction(inst)[0]) == f"(({r},),)"
+        assert repr(s._e) == repr(dense_reduction(inst)[1])
+
+    @settings(max_examples=500, deadline=None)
+    @given(lag_instances())
+    def test_matches_the_dense_reduction(self, inst):
+        R, s = reduce_instance(inst)
+        want_r, want_s = dense_reduction(inst)
+        # repr tells 0.0 from -0.0 and an int from an equal Fraction
+        assert repr(R._rows) == repr(want_r)
+        assert repr(s._e) == repr(want_s)
+
+    def test_instance_matrices_get_no_int64_array(self):
+        # reduce, q = (1' C)~ and y = C x read the finite entries alone
+        inst = randgen.layered_instance(random.Random(5), 300)
+        fam = solve_makespan(inst)
+        assert fam.B._held_int_array() is not None
+        for u in (fam.u_low, fam.u_high):
+            extract_schedule(fam, u)
+        for m in (inst.start_start, inst.start_finish, inst.finish_start):
+            assert m._held_int_array() is None
+
 class TestReduceOnArrays:
-    """An integer instance of at least 20 activities is reduced on int64
-    arrays; the array must be the one the payload result converts to."""
+    """An integer instance of at least 20 activities is reduced on its
+    finite entries, and the star of R runs on int64 arrays; the array
+    must be the one the payload result converts to."""
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32), st.sampled_from(["random", "layered"]))
     def test_parity_with_payload_path(self, seed, kind):
+        # the star converts R to the int64 array the payload result gives
         rng = random.Random(seed)
         if kind == "random":
             inst = randgen.rand_instance(rng, nmin=20, nmax=45)
@@ -96,9 +205,18 @@ class TestReduceOnArrays:
             inst = randgen.layered_instance(rng, rng.randint(20, 60))
         R, _ = reduce_instance(inst)
         want = payload_reduction(inst)
-        assert R._intcache is not _MISSING
-        assert np.array_equal(R._intcache, _kernels.from_payload_rows(want._rows))
         assert R == want
+        assert _operands([R], span=inst.n - 1)[0] is _kernels
+        assert np.array_equal(R._int_array(), _kernels.from_payload_rows(want._rows))
+
+    @pytest.mark.parametrize("n", [20, 45, 300])
+    def test_star_of_r_runs_on_int64(self, n):
+        # numpy is loaded, so R converts once for the star from 20 rows
+        R, _ = reduce_instance(randgen.layered_instance(random.Random(n), n))
+        star = R.star()
+        assert R._held_int_array() is not None
+        assert star._held_int_array() is not None
+        assert star == TropMatrix._from_rows(_loops.star(R._rows)[0])
 
     def test_small_instances_stay_on_payloads(self):
         inst = randgen.rand_instance(random.Random(3), nmin=19, nmax=19)
@@ -125,7 +243,7 @@ class TestReduceOnArrays:
         inst = build()
         assert inst.finish_start._int_array() is not None
         R, _ = reduce_instance(inst)
-        assert R._intcache is _MISSING
+        assert R._int_array() is None
         assert R[29, 3] == TropScalar(2 * _kernels.MAG_CAP)
         assert R == payload_reduction(inst)
         fam = solve_makespan(build())

@@ -19,7 +19,7 @@ from tropsched import (
     solve_leq,
 )
 from tropsched import _kernels, _loops
-from tropsched.semiring import _positive_cycle_witness
+from tropsched.semiring import _positive_cycle_witness, _tight
 
 N = None
 
@@ -239,6 +239,16 @@ class TestMatrix:
         assert sparse._rows == dense._rows
         assert sparse == dense and sparse.shape == dense.shape
 
+    def test_entries_of_rows_are_listed_once(self):
+        # reduce, q, extract_schedule and verify_schedule each read them
+        m = TropMatrix([[1, N, 0.5], [N, N, N], [N, Fraction(1, 2), 4]])
+        first = m._entries()
+        assert first == [(0, 0, 1), (0, 2, 0.5), (2, 1, Fraction(1, 2)), (2, 2, 4)]
+        assert m._entries() is first
+        assert m == TropMatrix._from_rows(m._rows) and m._rows[1] == (N, N, N)
+        held = TropMatrix._from_int_array(_kernels.from_payload_rows([[N, 3], [2, N]]))
+        assert held._entries() is held._entries() == [(0, 1, 3), (1, 0, 2)]
+
     def test_empty_entries_read_as_bottom_rows(self):
         m = TropMatrix._from_entries((2, 3), [])
         assert m._entries() == []
@@ -383,7 +393,113 @@ def tenths_matrices(draw):
     )
 
 
+def dense_row_witness(k, a, d, t):
+    """The witness search reading each visited row of `a` whole, bottoms
+    included, as it did before it followed only the finite entries: the
+    reference for the cycle and weight it must name."""
+    into = k.to_payload_vec(k.transpose(d)[t])
+    paths = {t: ((t,), 0)}
+    queue = [t]
+    for u in queue:
+        path, weight = paths[u]
+        for v, x in enumerate(k.to_payload_vec(a[u])):
+            if x is None or v > t:
+                continue
+            if v == t:
+                if _tight(x, into[u]):
+                    return path, weight + x
+            elif v not in paths and into[v] is not None and _tight(
+                x + into[v], into[u]
+            ):
+                paths[v] = path + (v,), weight + x
+                queue.append(v)
+    raise AssertionError("no tight cycle closes at the stopped pivot")
+
+
+def chain_rows(rng, n):
+    """Payload rows in the shape of the benchmark's infeasible chain: each
+    node after the first is entered from one to three of the previous 8,
+    and a back edge from the last node to the first, one unit short of the
+    longest path between them, closes a positive cycle through the chain."""
+    rows = [[N] * n for _ in range(n)]
+    # every node is reached from node 0 by lags of at least 0
+    longest = [0] * n
+    for v in range(1, n):
+        preds = range(max(0, v - 8), v)
+        for u in rng.sample(preds, min(len(preds), rng.randint(1, 3))):
+            rows[u][v] = rng.randint(0, 4)
+            longest[v] = max(longest[v], longest[u] + rows[u][v])
+    rows[n - 1][0] = 1 - longest[n - 1]
+    return rows
+
+
 class TestCycleWitness:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 40),
+        st.sampled_from([5, 20, 50, 100]),
+        st.sampled_from(["ints", "tenths"]),
+        st.booleans(),
+        st.integers(0, 2**32),
+    )
+    def test_same_cycle_as_the_dense_row_search(self, n, share, kind, potentials, seed):
+        # random entries, or potential differences less a slack that is
+        # sometimes -1, so that positive cycles close among zero ones
+        rng = random.Random(seed)
+        p = [rng.randint(-30, 30) for _ in range(n)]
+
+        def entry(u, v):
+            if potentials:
+                return p[v] - p[u] - rng.choice([0, 0, 0, 1, 2, -1])
+            return rng.randint(-20, 6)
+
+        rows = [
+            [entry(u, v) if rng.randrange(100) < share else N for v in range(n)]
+            for u in range(n)
+        ]
+        if kind == "tenths":
+            rows = [[N if x is None else x / 10 for x in r] for r in rows]
+            forms = [(_loops, tuple(map(tuple, rows)))]
+        else:
+            forms = [(_loops, tuple(map(tuple, rows))),
+                     (_kernels, _kernels.from_payload_rows(rows))]
+        for k, a in forms:
+            d, t = k.closure(a)
+            if t == n:
+                continue
+            got = _positive_cycle_witness(k, a, d, t)
+            assert repr(got) == repr(dense_row_witness(k, a, d, t))
+
+    def test_chain_star_boxes_no_row(self, monkeypatch):
+        # numpy is loaded, so the star of this n = 200 matrix runs on the
+        # int64 kernels; its witness reads column t of the closure as
+        # payloads, and of the rows of a only their finite entries
+        rows = chain_rows(random.Random(3), 200)
+        m = TropMatrix._from_entries(
+            (200, 200),
+            [(i, j, v) for i, r in enumerate(rows) for j, v in enumerate(r) if v is not None],
+        )
+        boxed = []
+        for name in ("to_payload_vec", "to_payload_rows"):
+            real = getattr(_kernels, name)
+
+            def counted(arr, name=name, real=real):
+                boxed.append((name, arr.shape))
+                return real(arr)
+
+            monkeypatch.setattr(_kernels, name, counted)
+        with pytest.raises(PositiveCycleError) as got:
+            m.star()
+        assert m._held_int_array() is not None
+        assert boxed == [("to_payload_vec", (200,))]
+        monkeypatch.undo()
+        assert len(got.value.cycle) >= 20
+        assert _cycle_weight(m, got.value.cycle) == got.value.weight == TropScalar(1)
+        # the payload backend names the same cycle
+        a = tuple(map(tuple, rows))
+        d, t = _loops.closure(a)
+        assert _positive_cycle_witness(_loops, a, d, t)[0] == got.value.cycle
+
     def test_witness_is_elementary_and_positive(self):
         rng = random.Random(7)
         seen = 0
