@@ -49,9 +49,14 @@ entries with one `np.maximum.reduceat`.  It forms no sum with a bottom
 b[i][j]; a bottom x[j] plus a finite b[i][j] drifts by one entry, and
 every step resets its bottoms to the sentinel.
 
-`json_rows` encodes an array for the result document through a token
-table: one JSON token per distinct value (null at or below the cutoff),
-indexed by `np.unique`'s inverse, so no entry is boxed into a payload.
+`json_pieces` lays an array out as text for the result document without
+boxing an entry: the caller's `piece` gives the text of one payload (None
+at or below the cutoff) at a row's end or inside it, once per distinct
+pair, and a gather repeats those pieces for every entry.  Each entry finds
+its piece by its offset from the smallest finite value, one subtraction
+with no sort, while that span is no wider than the entry count (a
+generator's few distinct values); a wider span, as with entries near
++-2**50, indexes by `np.unique`'s inverse.
 """
 
 from __future__ import annotations
@@ -152,15 +157,33 @@ def row_entries(a, i):
     return list(zip(cols.tolist(), row[cols].tolist()))
 
 
-def json_rows(arr):
-    """The rows of `arr` as lists of JSON tokens: null for a bottom, a
-    quoted integer otherwise, as the exact result document writes them."""
-    values, inverse = np.unique(arr, return_inverse=True)
-    tokens = np.array(
-        ["null" if v <= BOTTOM_CUTOFF else '"%d"' % v for v in values.tolist()],
-        dtype=object,
-    )
-    return tokens[inverse.reshape(arr.shape)].tolist()
+def json_pieces(arr, piece):
+    """One text piece per entry of `arr`, row by row: `piece(payload,
+    ends_row)` for the entry's payload and whether it ends its row, called
+    once per distinct such pair that occurs."""
+    flat = arr.ravel()
+    lo, hi = int(flat.min()), int(flat.max())
+    finite = None
+    if lo <= BOTTOM_CUTOFF:
+        # the span is that of the finite entries; all bottoms leave lo = hi
+        finite = flat > BOTTOM_CUTOFF
+        lo = int(flat.min(initial=hi, where=finite))
+    if hi - lo <= flat.size:
+        # slot v - lo for a finite v, and the slot past them for a bottom
+        slots = flat - lo
+        if finite is not None:
+            slots = np.where(finite, slots, hi - lo + 1)
+        payloads = [*range(lo, hi + 1), None]
+    else:
+        values, slots = np.unique(flat, return_inverse=True)
+        payloads = [v if v > BOTTOM_CUTOFF else None for v in values.tolist()]
+    # a row's last entry takes its slot in the second half of the table
+    k = len(payloads)
+    slots[arr.shape[1] - 1 :: arr.shape[1]] += k
+    table = np.empty(2 * k, dtype=object)
+    for u in np.flatnonzero(np.bincount(slots, minlength=2 * k)).tolist():
+        table[u] = piece(payloads[u % k], u >= k)
+    return table[slots].tolist()
 
 
 def _sparse(count, size):

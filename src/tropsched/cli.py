@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import sys
 
 from .charts import ascii_gantt, svg_gantt
@@ -43,7 +44,9 @@ class CliError(Exception):
     """User-facing request problem that is not a solver infeasibility."""
 
 
+@functools.cache
 def _build_parser():
+    # built once per process: parsing leaves the parser as it was
     parser = argparse.ArgumentParser(
         prog="tropsched",
         description="Analytic max-plus solver for temporal project scheduling.",

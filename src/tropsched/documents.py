@@ -481,19 +481,47 @@ def _violations_from_json(obj):
 
 
 def _generator_json(g):
-    """The generator's rows; an int64 generator is encoded from its array,
-    never boxed into payload rows."""
+    """The generator's rows; an int64 generator stays its array, which
+    `_write` writes without boxing an entry into a payload."""
     arr = g._held_int_array()
-    if arr is None:
+    if arr is None or not arr.size:
         return [_vector_json(row) for row in g._rows]
-    return [_Tokens(row) for row in _kernels.json_rows(arr)]
+    return _ArrayRows(arr)
 
 
 _INDENT = "  "
 
 
-class _Tokens(list):
-    """A flat JSON list whose entries are already encoded."""
+class _ArrayRows:
+    """The rows of a non-empty int64 array, as a JSON list of lists."""
+
+    __slots__ = ("arr",)
+
+    def __init__(self, arr):
+        self.arr = arr
+
+
+def _row_piece(depth):
+    """piece(payload, ends_row) for `_kernels.json_pieces`, laying out a
+    list of rows at `depth`: an entry's line break and indent, its token,
+    then "," or its row's close and the next row's open."""
+    entry = "\n" + _INDENT * (depth + 2)
+    row = "\n" + _INDENT * (depth + 1)
+    next_row = row + "]," + row + "["
+
+    def piece(v, ends_row):
+        return entry + json.dumps(_payload_json(v)) + (next_row if ends_row else ",")
+
+    return piece
+
+
+def _write_array_rows(arr, depth, out):
+    row = "\n" + _INDENT * (depth + 1)
+    out.append("[" + row + "[")
+    out.extend(_kernels.json_pieces(arr, _row_piece(depth)))
+    # the last entry closes its row and opens no next one
+    out[-1] = out[-1][: -len("," + row + "[")]
+    out.append("\n" + _INDENT * depth + "]")
 
 
 @functools.cache
@@ -506,8 +534,12 @@ def _flat_encoder(depth):
 def _write(obj, depth, out):
     """Append the text `json.dumps(obj, indent=2)` gives for `obj` at
     nesting `depth`.  That call takes the pure-Python encoder; here each
-    flat list is encoded by the C encoder in one call, and the leaves come
-    out the same, so the bytes match."""
+    flat list is encoded by the C encoder in one call, and an int64
+    generator is appended as the pieces `_kernels.json_pieces` repeats,
+    one per entry; the leaves come out the same, so the bytes match."""
+    if type(obj) is _ArrayRows:
+        _write_array_rows(obj.arr, depth, out)
+        return
     if not isinstance(obj, (dict, list)):
         out.append(json.dumps(obj))
         return
@@ -519,9 +551,6 @@ def _write(obj, depth, out):
     if isinstance(obj, dict):
         entries = [(json.dumps(key) + ": ", value) for key, value in obj.items()]
         brackets = "{}"
-    elif type(obj) is _Tokens:
-        out.append("[" + inner + ("," + inner).join(obj) + close + "]")
-        return
     elif any(isinstance(v, (dict, list)) for v in obj):
         entries = [("", value) for value in obj]
         brackets = "[]"

@@ -77,8 +77,10 @@ class InfeasibleError(ValueError):
 class EmptyBoxError(ValueError):
     """A solution family whose parameter box is empty: u_low exceeds u_high.
 
-    Exact data passes the box gate h~ B* g <= 0 only when u_low <= u_high,
-    so this comes from float rounding (or from a family built by hand).
+    Exact data passes the box gate h~ B* g <= 0 only when u_low <= u_high.
+    The solvers lift a float u_high entry that rounding left below u_low by
+    at most FLOAT_TOL (`_lift_rounded`), so this comes from a wider float
+    rounding gap or from a family built by hand.
     """
 
 
@@ -194,6 +196,16 @@ def _check_box_gate(gate):
         )
 
 
+def _lift_rounded(u_low, u_high):
+    """u_high with each float entry that rounding left below u_low by at
+    most FLOAT_TOL raised to u_low, as the box gate forgives a float gate
+    within FLOAT_TOL; exact entries are left as they are."""
+    return TropVector._from_payloads(
+        low if _p_lt(high, low) and not _loops._positive(low - high) else high
+        for low, high in zip(u_low._e, u_high._e)
+    )
+
+
 def solve_rank_one(prob):
     """Closed-form O(n^3) solution family for a rank-one objective, on the
     int64 kernels when `semiring._operands` admits B and the vectors with
@@ -201,6 +213,7 @@ def solve_rank_one(prob):
     B, g, h = prob.B, prob.g, prob.h
     star = _constraint_star(B)
     theta, G, u_high = _rank_one(prob, star)
+    u_high = _lift_rounded(g, u_high)
     return SolutionFamily(
         theta=theta, G=G, u_low=g, u_high=u_high, B=B, g=g, h=h
     )
@@ -268,7 +281,7 @@ def solve_general(prob):
         G = (theta.inv() * A + B).star()
     except PositiveCycleError as e:  # ruled out by the choice of theta
         raise AssertionError(f"generator star diverged: {e}") from e
-    u_high = (hc @ G).conj()
+    u_high = _lift_rounded(g, (hc @ G).conj())
     return SolutionFamily(
         theta=theta, G=G, u_low=g, u_high=u_high, B=B, g=g, h=h
     )

@@ -18,6 +18,7 @@ except ModuleNotFoundError:  # Python 3.10; pytest depends on tomli there
 import golden
 import randgen
 from tropsched import TropScalar
+from tropsched import cli
 from tropsched.cli import main
 from tropsched.documents import InstanceDocument, serialize_instance
 from tropsched.semiring import _IMPORT_DIM
@@ -201,9 +202,9 @@ class TestSolve:
         assert err.startswith("error: float arithmetic overflowed")
         assert "--mode exact" in err
 
-    def test_float_rounding_empty_box_is_exit_2(self, tmp_path, capsys):
+    def test_float_rounding_within_the_tolerance_solves(self, tmp_path, capsys):
         # one-decimal data whose rounded sums leave u_high[0] just below
-        # u_low[0]; exact arithmetic solves it
+        # u_low[0]; the solver lifts it, as exact arithmetic has it equal
         path = tmp_path / "rounding.inst"
         path.write_text(
             "activity a0 release=0.1 start-by=0.2 finish-by=6.2\n"
@@ -217,13 +218,37 @@ class TestSolve:
             "start-start a0 -> a3 lag=-1.6\n"
             "start-start a3 -> a2 lag=-0.2\n"
         )
+        argv = ["solve", str(path), "--objective", "makespan", "--format", "json"]
+        assert main(argv + ["--mode", "float"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert abs(doc["theta"] - 2.6) <= 1e-9
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["theta"] == "13/5"
+
+    def test_float_rounding_empty_box_is_exit_2(self, tmp_path, capsys):
+        # times near 1e9, where one float step is 1.2e-7: rounding leaves
+        # u_high[2] below u_low[2] by more than the 1e-9 tolerance, so the
+        # box stays empty; exact arithmetic solves it
+        path = tmp_path / "rounding.inst"
+        path.write_text(
+            "activity a1 release=1000000000.6 start-by=1000000001.4"
+            " finish-by=1000000005.2\n"
+            "activity a2 release=1000000000.1 start-by=1000000002.8"
+            " finish-by=1000000008.9\n"
+            "activity a3 release=1000000001.0 start-by=1000000003.2"
+            " finish-by=1000000004.7\n"
+            "start-finish a1 -> a1 lag=0.1\n"
+            "start-finish a2 -> a2 lag=1.9\n"
+            "start-finish a3 -> a3 lag=2.9\n"
+            "start-start a2 -> a1 lag=0.8\n"
+        )
         code = main(["solve", str(path), "--objective", "makespan", "--mode", "float"])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: float rounding left the parameter box empty")
         assert "--mode exact" in err
         assert main(["solve", str(path), "--objective", "makespan"]) == 0
-        assert "optimum: 13/5" in capsys.readouterr().out
+        assert "optimum: 33/10" in capsys.readouterr().out
 
     def test_missing_file(self, capsys):
         assert main(["solve", "/nonexistent.inst", "--objective", "makespan"]) == 2
@@ -678,6 +703,33 @@ class TestArgparse:
         with pytest.raises(SystemExit) as ei:
             main(["solve", INSTANCE, "--objective", "speed"])
         assert ei.value.code == 2
+
+    def test_one_parser_serves_every_request(self, tmp_path, capsys):
+        # the parser is built once per process; each call must give what it
+        # gives from a freshly built one
+        result = str(tmp_path / "result.json")
+        solve = ["solve", INSTANCE, "--objective", "makespan", "--format", "json"]
+        assert main(solve + ["--out", result]) == 0
+        calls = [
+            solve,
+            ["solve", INSTANCE, "--objective", "speed"],
+            ["verify", INSTANCE, SCHEDULE],
+            ["chart", result, "--member", "high"],
+        ]
+
+        def run(argv):
+            try:
+                code = main(argv)
+            except SystemExit as e:
+                code = e.code
+            out, err = capsys.readouterr()
+            return code, out, err
+
+        cached = [run(argv) for argv in calls]
+        assert [code for code, _, _ in cached] == [0, 2, 0, 0]
+        for argv, seen in zip(calls, cached):
+            cli._build_parser.cache_clear()
+            assert run(argv) == seen
 
 
 @pytest.fixture

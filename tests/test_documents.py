@@ -675,6 +675,47 @@ def _with_payload_generator(doc):
     return doc.replace(generator=g)
 
 
+def _array_doc(rows):
+    """A result document whose generator holds the int64 array of `rows`."""
+    arr = np.array(rows, dtype=np.int64)
+    m, n = arr.shape
+    return ResultDocument(
+        objective="makespan",
+        mode="exact",
+        names=tuple(f"a{i}" for i in range(m)),
+        theta=TropScalar(3),
+        generator=TropMatrix._from_int_array(arr),
+        u_low=TropVector([N] * n),
+        u_high=TropVector([0] * n),
+        low=None,
+        high=Schedule(start=TropVector([0] * m), finish=TropVector([1] * m)),
+        unique=False,
+        violations_low=None,
+    )
+
+
+# int64 generators for the array writer, by the index it takes: "B" is a
+# bottom at the sentinel, "D" one drifted up to the cutoff, "W" the largest
+# magnitude the kernels admit; the offset index holds while the finite
+# span is no wider than the entry count
+_ARRAY_CASES = {
+    "1x1": ([[7]], "offset"),
+    "1x1 bottom": ([["B"]], "offset"),
+    "1xn": ([[1, "B", 3, 2]], "offset"),
+    "nx1": ([[1], ["D"], [3]], "offset"),
+    "bottom row": ([[1, 2], ["B", "D"], [3, 4]], "offset"),
+    "last entry bottom": ([[1, 2], [3, "B"]], "offset"),
+    "all bottoms": ([["B", "D"], ["D", "B"]], "offset"),
+    "span equals the entry count": ([[0, 4], [1, "D"]], "offset"),
+    "span one past the entry count": ([[0, 5], [1, "D"]], "unique"),
+    "wide": ([["W", "-W"], [0, 7]], "unique"),
+    "wide 1xn": ([["W", "B", "-W"]], "unique"),
+    "wide nx1": ([["W"], ["D"], ["-W"]], "unique"),
+    "wide bottom row": ([["W", "-W"], ["B", "D"]], "unique"),
+    "wide last entry bottom": ([[1, "-W"], ["W", "B"]], "unique"),
+}
+
+
 class TestResultWriter:
     """result_to_json writes the bytes `json.dumps(obj, indent=2)` wrote."""
 
@@ -700,27 +741,54 @@ class TestResultWriter:
             assert text == result_to_json(_with_payload_generator(doc))
 
         check()
-        arr = np.array(
-            [[_kernels.NEG, _kernels.NEG + 7], [_kernels.BOTTOM_CUTOFF, 3]],
-            dtype=np.int64,
-        )
-        doc = ResultDocument(
-            objective="makespan",
-            mode="exact",
-            names=("a", "b"),
-            theta=TropScalar(3),
-            generator=TropMatrix._from_int_array(arr),
-            u_low=TropVector([N, N]),
-            u_high=TropVector([0, 0]),
-            low=None,
-            high=Schedule(start=TropVector([0, 0]), finish=TropVector([1, 3])),
-            unique=False,
-            violations_low=None,
+        doc = _array_doc(
+            [[_kernels.NEG, _kernels.NEG + 7], [_kernels.BOTTOM_CUTOFF, 3]]
         )
         assert json.loads(result_to_json(doc))["generator"] == [
             [None, None],
             [None, "3"],
         ]
+
+    @pytest.mark.parametrize("sentinels", ["real", "small"])
+    @pytest.mark.parametrize("case", list(_ARRAY_CASES))
+    def test_array_shapes_and_spans(self, request, monkeypatch, case, sentinels):
+        if sentinels == "small":
+            request.getfixturevalue("small_sentinels")
+        rows, path = _ARRAY_CASES[case]
+        marks = {
+            "B": _kernels.NEG,
+            "D": _kernels.BOTTOM_CUTOFF,
+            "W": _kernels.MAG_CAP,
+            "-W": -_kernels.MAG_CAP,
+        }
+        doc = _array_doc([[marks.get(v, v) for v in row] for row in rows])
+        sorts = []
+        unique = np.unique
+        with monkeypatch.context() as m:
+            m.setattr(np, "unique", lambda *a, **k: sorts.append(a) or unique(*a, **k))
+            text = result_to_json(doc)
+        assert bool(sorts) == (path == "unique")
+        assert doc.generator._rowcache is None
+        assert text == _reference_json(doc)
+        assert text == result_to_json(_with_payload_generator(doc))
+
+    def test_array_without_columns(self):
+        doc = _array_doc(np.empty((2, 0), dtype=np.int64))
+        assert doc.generator._held_int_array() is not None
+        assert result_to_json(doc) == _reference_json(doc)
+
+    def test_one_piece_per_value_and_row_end(self):
+        calls = []
+
+        def piece(v, ends_row):
+            calls.append((v, ends_row))
+            return f"{v}{'|' if ends_row else ','}"
+
+        arr = np.array([[1, 2], [1, 1], [_kernels.NEG, 2]], dtype=np.int64)
+        assert "".join(_kernels.json_pieces(arr, piece)) == "1,2|1,1|None,2|"
+        assert sorted(calls, key=repr) == sorted(
+            [(1, False), (2, True), (1, True), (None, False)], key=repr
+        )
 
     @pytest.mark.parametrize("objective", ["makespan", "deviation"])
     def test_solver_generator_is_encoded_from_its_array(self, monkeypatch, objective):

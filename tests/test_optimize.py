@@ -307,15 +307,15 @@ class TestGeneralRecurrence:
         # the same draws in float and in exact tenths: a rounded theta
         # leaves cycles of theta^-1 A + B about 1e-17 above 0, which must
         # not make the generator star diverge, a rounding cycle of B must
-        # not read as a positive one, and a box gate h~ B* g rounded just
-        # above 0 must not read as a conflict.  The box itself is still
-        # compared exactly, so rounding may leave a float problem that
-        # exact arithmetic solves with an empty box
+        # not read as a positive one, a box gate h~ B* g rounded just
+        # above 0 must not read as a conflict, and a u_high entry rounded
+        # just below u_low must not empty the box
         solved = 0
         for seed in range(300):
             got, want = (general_outcome(seed, unit) for unit in (0.1, Fraction(1, 10)))
             assert (got == "cycle") == (want == "cycle")
             assert got != "bounds" or want == "bounds"
+            assert got != "empty box"
             if not isinstance(got, str) and not isinstance(want, str):
                 assert abs(got - want) <= 1e-9
                 solved += 1
@@ -427,7 +427,8 @@ class TestInfeasible:
     def test_float_gate_within_the_tolerance(self, above):
         # x0 >= x1 + 0.1 >= x2 + 0.3 against x0 <= 0.3: the gate h~ B* g is
         # 0 in exact tenths and 5.55e-17 in float, which is no conflict;
-        # the rounded box is then empty, the documented float failure
+        # rounding leaves u_high[2] at -5.55e-17, below g[2] = 0, and the
+        # solver lifts it to 0, so the float box holds what the exact one does
         prob = RankOneProblem(
             p=TropVector.ones(3),
             q=TropVector.ones(3),
@@ -441,8 +442,25 @@ class TestInfeasible:
             assert ei.value.kind == "bounds"
         else:
             assert (prob.h.conj() @ prob.B.star()) @ prob.g > TropScalar(0)
+            fam = solve_rank_one(prob)
+            assert abs(fam.theta.value - 0.3) <= 1e-9
+            assert fam.u_high[2] == fam.u_low[2] == TropScalar(0)
+            assert abs(fam.u_high[0].value - 0.3) <= 1e-9
+            assert abs(fam.u_high[1].value - 0.2) <= 1e-9
+            # the family keeps its exact check: a box emptied by hand raises
             with pytest.raises(EmptyBoxError):
-                solve_rank_one(prob)
+                fam.replace(u_high=TropVector([0.3, 0.2, -5.55e-17]))
+
+    def test_only_float_gaps_within_the_tolerance_are_lifted(self):
+        # a float 1e-10 short is lifted; 1e-8 short, or exact, it is not
+        third = Fraction(1, 3)
+        close = third - Fraction(1, 10**12)
+        low = TropVector([N, 1.0, 1.0, 1.0, third, 2])
+        high = TropVector([0.5, 1.0 - 1e-10, 1.0 - 1e-8, 2.0, close, 1])
+        lifted = optimize._lift_rounded(low, high)
+        assert lifted._e == (0.5, 1.0, 1.0 - 1e-8, 2.0, close, 1)
+        same = TropVector([0.5, 1.0, 1.5, 2.0, 1, 2])
+        assert optimize._lift_rounded(low, same) == same
 
 
 class TestValidation:
