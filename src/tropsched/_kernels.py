@@ -9,7 +9,7 @@ Every kernel re-clamps its output to the sentinel, which keeps the drift of
 "bottom plus finite" sums bounded; anything at or below -2**61 converts back
 to the bottom element.
 
-That argument covers one addition.  A closure adds up to n - 1 entries along
+That argument covers one addition.  A star sums up to n - 1 entries along
 an elementary path, so it is exact only while (n - 1) * max|finite entry|
 stays short of the cutoff: then a finite path sum stays above -2**61, and a
 bottom entry plus such a sum stays at or below it.  `span_fits` checks such
@@ -22,17 +22,24 @@ of B^i p and q~ B^j, i, j <= n - 2; it keeps only some) stay within
 (4n - 2) M, and h~ G within (4n - 1) M; a bottom drifts by at most the same
 sums.  It asks `span_fits` of 4n.
 
-Project networks are sparse, so `closure` and `matmul` work only on
-finite entries while those are under a quarter of the work (`_sparse`),
-and above that share take the dense slice update, whose drift the bounds
-above cover; the worst case stays O(n^3).
+`closure` borders: step m extends the star S of nodes 0..m-1 by node m,
+reading only the finite entries of row m left of the diagonal and of
+column m above it, so a project network without maximal time lags costs
+one row fold per node.  A row or column entry it writes is a path sum plus
+one finite entry, r[k] + S[k][j] or S[i][k] + c[k], and gamma adds one
+finite entry to a row entry.  The block adds S[i][m] + S[m][j] only where
+S[i][m] is finite; where S[m][j] is not, it adds NEG + BOTTOM_CUTOFF in
+its stead, which a path sum keeps at or below the sentinel.  So a finite
+value is an exact path sum.  A fold writes a bottom one entry away from a
+bottom of an earlier step, and the block raises one to at most the
+sentinel: bottoms drift by at most n - 1 entries either way, which the
+star's bound keeps at or below the cutoff and clear of the int64 minimum.
+No sum of two bottoms is stored, and the star is clamped back to at
+least the sentinel.
 
-At pivot k the closure updates d[i][j] only for rows with a finite
-d[i][k] and columns with a finite d[k][j]; any other sum through k has a
-bottom term, is a bottom itself and so can raise no finite entry.  The
-finite sums it does form are path sums, exact by the star's bound.  It
-writes only those sums, never a bottom plus a finite value, so it adds no
-drift: bottoms stay at the sentinel until a finite path reaches them.
+`matmul`'s columns and the closure's block work only on finite entries
+while those are under a quarter of the work (`_sparse`), and above that
+share take the dense slice update; the worst case stays O(n^3).
 
 `matmul` accumulates over the inner index k: it adds row k of b to column
 k of a only at the rows with a finite a[i][k] (at every row once that
@@ -67,10 +74,14 @@ import importlib.util
 NEG = -(1 << 62)
 MAG_CAP = 1 << 50
 BOTTOM_CUTOFF = -(1 << 61)
-# a kernel gathers finite entries while they are under 1/4 of the work:
-# near where a gathered closure pivot costs as much as a dense one (1/5 to
-# 1/4 at n = 400); the matmul columns reuse it unmeasured
+# a kernel gathers finite entries while they are under 1/4 of the work
+# (the matmul columns and the closure's block update)
 _DENSE_SHARE = 4
+# a closure row or column over more finite entries folds in one reduction;
+# fewer take one np.add or np.maximum each: `star` alone (best of 15, three
+# runs) took 1.4-1.5x as long on solve-int's R and 1.3-2.0x on the chain's
+# R when every fold was gathered
+_FEW = 4
 
 
 class _LazyNumpy:
@@ -236,41 +247,108 @@ def _reset_bottom(a):
     return np.where(a > BOTTOM_CUTOFF, a, NEG)
 
 
-def closure(a):
-    """Floyd-Warshall closure A+ (max-plus), input left intact, stopped
-    before the first pivot t whose diagonal d[t][t] is positive.
+def _fold(d, m, ks, vs):
+    """Row m of `d` left of the diagonal set to r S, for S the star in
+    d[:m, :m] and r the entries `vs` at the columns `ks` (lists): the
+    largest d[k, :m] + v.  A few entries take one `np.add` and one
+    `np.maximum` per further entry on row views; more are gathered, in
+    their leading m columns only, into one reduction, and a full row or
+    column reads the leading block's slice instead.  Every v is finite, so
+    no two bottoms are added."""
+    row = d[m, :m]
+    if len(ks) > _FEW:
+        # the slice saves the gather: gathering full rows too took `star`
+        # 1.0-1.6x as long on a dense cyclic n = 300 matrix (best of 15,
+        # three runs)
+        lines = d[:m, :m] if len(ks) == m else d[ks, :m]
+        np.max(lines + np.array(vs)[:, None], axis=0, out=row)
+    else:
+        np.add(d[ks[0], :m], vs[0], out=row)
+        for i in range(1, len(ks)):
+            np.maximum(row, d[ks[i], :m] + vs[i], out=row)
+    return row
 
-    Returns (d, t), with t = n when no cycle is positive.  Before pivot m,
-    d[m][m] is the heaviest cycle through m over nodes below m, so a
-    positive cycle whose highest node is m shows there, and the first one
-    stops the pass; `semiring._positive_cycle_witness` reads it off d.
-    Pivot k raises only the block of rows i with a finite d[i][k] by
-    columns j with a finite d[k][j]; it gathers that block while it is
-    sparse and updates d whole otherwise.
+
+def closure(a):
+    """Star A* = I max A+ (max-plus) of square `a` by bordering, input
+    left intact, stopped at the first node t that closes a positive cycle
+    over nodes 0..t.
+
+    Returns (d, t), with t = n when no cycle is positive.  Step m extends
+    the star S of nodes below m, held in d[:m, :m], by node m: row m
+    becomes r S over the finite entries r of row m left of the diagonal,
+    column m becomes S c over the finite entries c of column m above it
+    (`_fold`), and gamma = a[m][m] max r S c is the heaviest cycle through
+    m over nodes below m.  A positive gamma stops the pass with d[t][t] =
+    gamma; otherwise d[m][m] = 0, and d[:m, :m] takes column m (x) row m
+    at the rows and columns where both are finite, gathered while that
+    block is sparse and through the slice otherwise.  On a project network
+    without maximal time lags every column above the diagonal is empty,
+    so a step is one row fold.
+
+    The stop is Floyd-Warshall's, and so is what the stopped d holds for
+    `semiring._positive_cycle_witness`: before pivot t, Floyd-Warshall's
+    d[t][t] is the heaviest cycle through t over nodes below t, which is
+    gamma, and its d[u][t] for u < t the longest path u -> t through them,
+    which is column t.  The rest of d past node t is not a closure.
     """
-    d = _reset_bottom(a)
+    finite = a > BOTTOM_CUTOFF
+    d = np.where(finite, a, NEG)
     n = d.shape[0]
-    for k in range(n):
-        if d[k, k] > 0:
-            return d, k
-        rows = (d[:, k] > BOTTOM_CUTOFF).nonzero()[0]
-        cols = (d[k] > BOTTOM_CUTOFF).nonzero()[0]
-        if _sparse(rows.size * cols.size, d.size):
-            block = rows[:, None], cols
-            d[block] = np.maximum(d[block], d[rows, k, None] + d[k, cols])
-        else:
-            np.maximum(d, d[:, k, None] + d[None, k, :], out=d)
-            np.maximum(d, NEG, out=d)
-    return d, n
+    diag = d.diagonal().tolist()
+    ri, ci = finite.nonzero()
+    vals = d[ri, ci]
+    # row m's entries left of the diagonal lie together in ri's order; a
+    # stable sort by column brings column m's entries above it together
+    left, above = ci < ri, ri < ci
+    r_k, r_v = ci[left].tolist(), vals[left].tolist()
+    r_at = np.searchsorted(ri[left], np.arange(n + 1)).tolist()
+    by_col = np.argsort(ci[above], kind="stable")
+    c_k, c_v = ri[above][by_col].tolist(), vals[above][by_col].tolist()
+    c_at = np.searchsorted(ci[above][by_col], np.arange(n + 1)).tolist()
+    for m in range(n):
+        r0, r1, c0, c1 = r_at[m], r_at[m + 1], c_at[m], c_at[m + 1]
+        gamma = diag[m]
+        if r1 > r0:
+            row = _fold(d, m, r_k[r0:r1], r_v[r0:r1])
+        if c1 > c0:
+            # column m of d is row m of its transpose
+            col = _fold(d.T, m, c_k[c0:c1], c_v[c0:c1])
+            if r1 > r0:
+                gamma = max(gamma, int(np.max(row[c_k[c0:c1]] + c_v[c0:c1])))
+        if gamma > 0:
+            d[m, m] = gamma
+            t = m
+            break
+        d[m, m] = 0
+        if r1 > r0 and c1 > c0:
+            fr, fc = col > BOTTOM_CUTOFF, row > BOTTOM_CUTOFF
+            rows, cols = fr.nonzero()[0], fc.nonzero()[0]
+            if _sparse(rows.size * cols.size, m * m):
+                block = rows[:, None], cols
+                d[block] = np.maximum(d[block], col[rows, None] + row[cols])
+            else:
+                # rows with a bottom in column m are masked out, and a
+                # bottom of row m set to NEG + BOTTOM_CUTOFF sums with a
+                # finite path to at most NEG; a full column takes no mask,
+                # since masking it too took `star` 1.2-1.6x as long on a
+                # dense cyclic n = 300 matrix (best of 15, three runs)
+                lead = d[:m, :m]
+                low = np.where(fc, row, NEG + BOTTOM_CUTOFF)
+                mask = True if rows.size == m else fr[:, None]
+                np.maximum(lead, col[:, None] + low, out=lead, where=mask)
+    else:
+        t = n
+    # a fold leaves a bottom below the sentinel when it adds a negative
+    # entry; the other kernels add two bottoms only from the sentinel up
+    np.maximum(d, NEG, out=d)
+    return d, t
 
 
 def star(a):
-    """(A* = I max A+, n) of square `a`, or the stopped `closure` (d, t)
-    when a cycle is positive."""
-    d, t = closure(a)
-    if t == d.shape[0]:
-        np.fill_diagonal(d, 0)
-    return d, t
+    """(A*, n) of square `a`, or the stopped `closure` (d, t) when a cycle
+    is positive: `closure` already sets the star's diagonal to 0."""
+    return closure(a)
 
 
 def running_maxima(b, x, cap, left=False):

@@ -40,6 +40,15 @@ def loops_rows(form):
     return tuple(map(tuple, form))
 
 
+def star_contract(d, t):
+    """What two backends' stars must share: the whole star when no cycle
+    is positive (t = n), else the stop t and column t at and above the
+    diagonal, all the positive-cycle witness reads."""
+    if t == len(d):
+        return t, d
+    return t, tuple(r[t] for r in d[: t + 1])
+
+
 class TestPayloadKernelsMatchInt64:
     """Each `_loops` function on payload rows gives what its `_kernels`
     namesake gives on the same integers, once converted to payloads."""
@@ -90,12 +99,11 @@ class TestPayloadKernelsMatchInt64:
     @given(SIZES, BOTTOMS, SEEDS, st.sampled_from([0, 2]))
     def test_star(self, n, bottoms, seed, hi):
         # hi = 0 leaves no cycle positive; hi = 2 often closes one, and
-        # then both stop at the same pivot with the same partial closure
+        # then both stop at the same node with the same column above it
         rng = np.random.default_rng(seed)
         a = rand_array(rng, (n, n), bottoms, hi=hi)
         (got, t), (want, u) = _loops.star(rows(a)), _kernels.star(a)
-        assert t == u
-        assert loops_rows(got) == rows(want)
+        assert star_contract(loops_rows(got), t) == star_contract(rows(want), u)
 
     def test_star_of_a_positive_cycle(self):
         # the cycle 0 -> 1 -> 2 -> 0 first closes at its highest node

@@ -796,8 +796,8 @@ def dense_matmul(a, b):
 
 
 def dense_closure(a):
-    """(d, t): the closure stopped before the first pivot t with a positive
-    diagonal, t = n when there is none."""
+    """(d, t): the Floyd-Warshall closure A+ stopped before the first pivot
+    t with a positive diagonal, t = n when there is none."""
     d = np.where(a > _kernels.BOTTOM_CUTOFF, a, _kernels.NEG)
     for k in range(d.shape[0]):
         if d[k, k] > 0:
@@ -805,6 +805,25 @@ def dense_closure(a):
         np.maximum(d, d[:, k, None] + d[None, k, :], out=d)
         np.maximum(d, _kernels.NEG, out=d)
     return d, d.shape[0]
+
+
+def dense_star(a):
+    """(d, t): `dense_closure` with A*'s zero diagonal when no cycle is
+    positive."""
+    d, t = dense_closure(a)
+    if t == d.shape[0]:
+        np.fill_diagonal(d, 0)
+    return d, t
+
+
+def star_contract(d, t):
+    """What a star must match of its reference: the whole star when no
+    cycle is positive (t = n), else the stop t and column t at and above
+    the diagonal, all the positive-cycle witness reads."""
+    rows = payloads(d)
+    if t == len(rows):
+        return t, rows
+    return t, tuple(r[t] for r in rows[: t + 1])
 
 
 def dense_running_maxima(b, x, cap, left=False):
@@ -865,16 +884,17 @@ SEEDS = st.integers(0, 2**32)
 
 class TestSparseKernelParity:
     """The support-restricted kernels must agree with the dense ones: the
-    same finite entries, bottoms in the same places, and the closure
-    stopped at the same pivot, where the witness is a positive cycle."""
+    same finite entries and bottoms in the same places.  The bordered
+    closure must give Floyd-Warshall's star, or stop at the same node with
+    the same column above it, where the witness is a positive cycle."""
 
     def _closure(self, n, share, seed, drift=False, hi=0):
-        # hi = 0 leaves no cycle positive, so the closure runs every pivot;
+        # hi = 0 leaves no cycle positive, so the closure runs every step;
         # hi = 2 often closes one and stops it early
         a = rand_array(seed, (n, n), share, -9, hi, drift)
-        (d, t), (want, u) = _kernels.closure(a), dense_closure(a)
-        assert t == u
-        assert payloads(d) == payloads(want)
+        (d, t), (want, u) = _kernels.closure(a), dense_star(a)
+        assert star_contract(d, t) == star_contract(want, u)
+        assert (d >= _kernels.NEG).all()
         if t < n:
             cycle, weight = _positive_cycle_witness(_kernels, a, d, t)
             rows = payloads(a)
@@ -936,9 +956,10 @@ class TestSparseKernelParity:
         self._closure(n, share, seed, drift=True, hi=2)
 
     def test_restricted_closure_adds_no_drift(self, small_sentinels):
-        # three disjoint blocks: every pivot's support is at most a ninth
-        # of the matrix, so no pivot takes the dense update, and the
-        # drifted input bottoms come back at the sentinel
+        # three disjoint blocks of nonpositive entries: the drifted input
+        # bottoms come back at the sentinel, a fold that adds a negative
+        # entry to one leaves it clamped there, and the block update raises
+        # none past it
         n = 30
         a = rand_array(5, (n, n), 0.0, 0, 0, drift=True)
         for lo in range(0, n, 10):
@@ -946,11 +967,11 @@ class TestSparseKernelParity:
         d, t = _kernels.closure(a)
         assert t == n
         assert ((d > _kernels.BOTTOM_CUTOFF) | (d == _kernels.NEG)).all()
-        assert payloads(d) == payloads(dense_closure(a)[0])
+        assert payloads(d) == payloads(dense_star(a)[0])
 
     def test_long_path_through_sparse_pivots(self):
-        # a bare path: pivot k joins k rows to n - k columns, so the first
-        # and last pivots are restricted and the middle ones dense
+        # a bare path 0 -> 1 -> ... -> n - 1: every entry sits above the
+        # diagonal, so each step is one column fold and no block runs
         n = 40
         a = np.full((n, n), _kernels.NEG, dtype=np.int64)
         for i in range(n - 1):
@@ -958,4 +979,79 @@ class TestSparseKernelParity:
         d, t = _kernels.closure(a)
         assert t == n
         assert d[0, n - 1] == -sum(range(1, n))
-        assert payloads(d) == payloads(dense_closure(a)[0])
+        assert payloads(d) == payloads(dense_star(a)[0])
+
+    def test_positive_self_loop_alone(self):
+        n = 9
+        a = np.full((n, n), _kernels.NEG, dtype=np.int64)
+        a[4, 4] = 3
+        d, t = _kernels.closure(a)
+        assert (t, d[4, 4]) == (4, 3)
+        assert star_contract(d, t) == star_contract(*dense_star(a))
+        assert _positive_cycle_witness(_kernels, a, d, t) == ((4,), 3)
+
+    def test_positive_cycle_topped_mid_index(self):
+        # 2 -> 5 -> 3 -> 2 weighs 1 and tops out at node 5; the nodes past
+        # it hold a zero cycle and forward entries only
+        n = 12
+        a = np.full((n, n), _kernels.NEG, dtype=np.int64)
+        a[2, 5], a[5, 3], a[3, 2] = 2, -2, 1
+        a[9, 10], a[10, 9], a[8, 7], a[11, 1] = 0, 0, 4, 4
+        d, t = _kernels.closure(a)
+        assert t == 5
+        assert star_contract(d, t) == star_contract(*dense_star(a))
+        assert _positive_cycle_witness(_kernels, a, d, t) == ((5, 3, 2), 1)
+
+    def test_backward_entries_run_column_and_block_steps(self, monkeypatch):
+        # forward lags (below the diagonal) and maximal time lags back
+        # (above it), each back lag too tight to close a positive cycle:
+        # the column folds, gamma and both forms of the block update run
+        n = 40
+        a = rand_array(9, (n, n), 0.15, 0, 4)
+        back = rand_array(10, (n, n), 0.05, -400, -200)
+        upper = np.triu_indices(n)
+        a[upper] = back[upper]
+        seen = []
+        real = _kernels._sparse
+
+        def spy(count, size):
+            seen.append(real(count, size))
+            return seen[-1]
+
+        monkeypatch.setattr(_kernels, "_sparse", spy)
+        d, t = _kernels.closure(a)
+        assert t == n
+        assert payloads(d) == payloads(dense_star(a)[0])
+        assert True in seen and False in seen
+
+    @pytest.mark.parametrize("share", [0.5, 1.0])
+    def test_rows_with_many_predecessors(self, share):
+        # rows and columns of more than `_kernels._FEW` finite entries fold
+        # in one reduction, full ones over the leading block's slice; at
+        # n = 60 both shares put nearly every row far above it; entries in
+        # -5..0 at the real sentinel, where a drifted bottom plus the
+        # sentinel would wrap past the int64 minimum
+        n = 60
+        a = rand_array(11, (n, n), share, -5, 0)
+        d, t = _kernels.closure(a)
+        assert t == n
+        assert payloads(d) == payloads(dense_star(a)[0])
+        assert (d >= _kernels.NEG).all()
+
+    @pytest.mark.parametrize("lag", [100, -100])
+    def test_drift_through_long_row_chains(self, small_sentinels, lag):
+        # two interleaved chains, each node entered from the one two below
+        # it: each row fold adds `lag` to the other chain's bottoms, which
+        # so drift by 9 lags, inside the star's bound of n - 1 entries; a
+        # negative drift is clamped back to the sentinel
+        n = 20
+        a = np.full((n, n), _kernels.NEG, dtype=np.int64)
+        for m in range(2, n):
+            a[m, m - 2] = lag
+        assert _kernels.span_fits(n - 1, a)
+        d, t = _kernels.closure(a)
+        assert t == n
+        assert payloads(d) == payloads(dense_star(a)[0])
+        bottoms = d[d <= _kernels.BOTTOM_CUTOFF]
+        assert bottoms.min() == _kernels.NEG
+        assert bottoms.max() == _kernels.NEG + max(9 * lag, 0)
