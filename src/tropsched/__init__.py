@@ -56,7 +56,6 @@ from .documents import (
     serialize_instance,
     serialize_schedule,
 )
-from .charts import ascii_gantt, svg_gantt
 
 __version__ = "0.1.0"
 
@@ -106,3 +105,13 @@ __all__ = [
     "svg_gantt",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    # the chart functions load `charts` on first access, so that a request
+    # that draws no chart does not import it
+    if name in ("ascii_gantt", "svg_gantt"):
+        from . import charts
+
+        return getattr(charts, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,6 +1,8 @@
 """Integer fast path: max-plus kernels on int64 arrays with a bottom sentinel.
 
-`semiring._operands` decides when these kernels run; `_loops` holds their
+`semiring._operands` decides when these kernels run, and imports this
+module the first time a matrix passes its row gate or holds an array: a
+request below the gate never loads it, nor numpy.  `_loops` holds their
 payload namesakes.
 
 Finite entries are accepted only up to |v| <= 2**50 and the sentinel sits at

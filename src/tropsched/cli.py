@@ -15,7 +15,6 @@ import contextlib
 import functools
 import sys
 
-from .charts import ascii_gantt, svg_gantt
 from .documents import (
     InstanceFormatError,
     ResultDocument,
@@ -42,6 +41,19 @@ __all__ = ["main"]
 
 class CliError(Exception):
     """User-facing request problem that is not a solver infeasibility."""
+
+
+# `charts` is imported by the first chart request only
+def ascii_gantt(names, schedule, **kwargs):
+    from . import charts
+
+    return charts.ascii_gantt(names, schedule, **kwargs)
+
+
+def svg_gantt(names, schedule, **kwargs):
+    from . import charts
+
+    return charts.svg_gantt(names, schedule, **kwargs)
 
 
 @functools.cache

@@ -21,16 +21,17 @@ a lower bound on the start (or finish) of b.  Omitting release leaves the
 activity unconstrained from below.  Every activity must appear on the
 start side of some start-finish constraint (usually its own duration).
 The start-start diagonal defaults to the identity lag 0.
+
+Only the result writer and reader import `json`, and only a number with
+a "." or "/" imports `fractions`, so a text request on integer data loads
+neither.
 """
 
 from __future__ import annotations
 
 import functools
-import json
 import re
-from fractions import Fraction
 
-from . import _kernels
 from ._record import Record
 from .scheduling import OBJECTIVES, ProjectInstance, Schedule, Violation
 from .semiring import BOTTOM, TropMatrix, TropScalar, TropVector, _p_str
@@ -94,6 +95,8 @@ def _parse_exact(tok, line, *, sci_hint):
         raise InstanceFormatError(f"bad number {tok!r}{hint}", line=line)
     try:
         if "." in tok or "/" in tok:
+            from fractions import Fraction
+
             return Fraction(tok)
         return int(tok)
     except ZeroDivisionError:
@@ -509,6 +512,8 @@ def _row_piece(depth):
     row = "\n" + _INDENT * (depth + 1)
     next_row = row + "]," + row + "["
 
+    import json
+
     def piece(v, ends_row):
         return entry + json.dumps(_payload_json(v)) + (next_row if ends_row else ",")
 
@@ -516,6 +521,8 @@ def _row_piece(depth):
 
 
 def _write_array_rows(arr, depth, out):
+    from . import _kernels
+
     row = "\n" + _INDENT * (depth + 1)
     out.append("[" + row + "[")
     out.extend(_kernels.json_pieces(arr, _row_piece(depth)))
@@ -528,6 +535,8 @@ def _write_array_rows(arr, depth, out):
 def _flat_encoder(depth):
     """The C encoder, separating the entries of a flat list at `depth` as
     the indented encoder does."""
+    import json
+
     return json.JSONEncoder(separators=(",\n" + _INDENT * depth, ": "))
 
 
@@ -537,6 +546,8 @@ def _write(obj, depth, out):
     flat list is encoded by the C encoder in one call, and an int64
     generator is appended as the pieces `_kernels.json_pieces` repeats,
     one per entry; the leaves come out the same, so the bytes match."""
+    import json
+
     if type(obj) is _ArrayRows:
         _write_array_rows(obj.arr, depth, out)
         return
@@ -595,6 +606,8 @@ def result_to_json(doc):
 
 
 def result_from_json(text):
+    import json
+
     try:
         obj = json.loads(text)
     except ValueError as e:

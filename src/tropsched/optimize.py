@@ -29,8 +29,6 @@ indices) dominate the rest, or V_dv W_dw alone when there are none.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import _loops
 from ._record import Record
 from .semiring import (
@@ -271,10 +269,10 @@ def solve_general(prob):
     words, rows = [TropMatrix.identity(n)], [hc]
     for _ in range(n):
         for k, r in enumerate(rows[1:], 1):
-            theta += (r @ g) ** Fraction(1, k)
+            theta += (r @ g).root(k)
         words, rows = _extend(words, A, B), _extend(rows, A, B)
         for k, w in enumerate(words[1:], 1):
-            theta += w.trace() ** Fraction(1, k)
+            theta += w.trace().root(k)
     assert not theta.is_bottom, "optimal value fell to bottom"
 
     try:

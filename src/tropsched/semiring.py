@@ -12,15 +12,19 @@ Internally the bottom element is the payload None, and finite entries are
 int / Fraction / float.  `_operands` alone picks the backend of every
 operation that can run on int64 arrays: the int64 kernels (`_kernels`) or
 their payload namesakes (`_loops`), which give the same results.
+
+Two imports wait for their first use, since a small request needs
+neither: `_kernels` is imported when a matrix first passes `_operands`'s
+row gate or holds an array, and `fractions` when a value is neither an
+int nor a float, or when a power or root is taken.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from fractions import Fraction
 
-from . import _kernels, _loops
+from . import _loops
 from ._loops import FLOAT_TOL, _p_add
 
 __all__ = [
@@ -44,6 +48,18 @@ _KERNEL_DIM = 20
 # near 145 rows on dense project networks and past 250 on layered ones)
 _IMPORT_DIM = 128
 
+# the int64 kernels module once `_load_kernels` has imported it
+_kernels = None
+
+
+def _load_kernels():
+    """The `_kernels` module, imported and bound to `_kernels` here on the
+    first call."""
+    global _kernels
+    if _kernels is None:
+        from . import _kernels
+    return _kernels
+
 
 def _payload(value):
     """Normalize a number-like value (or None / -inf) to an entry payload."""
@@ -53,14 +69,16 @@ def _payload(value):
         return value._v
     if isinstance(value, int):
         return int(value)
-    if isinstance(value, Fraction):
-        return int(value) if value.denominator == 1 else value
     if isinstance(value, float):
         if value == float("-inf"):
             return None
         if math.isnan(value) or math.isinf(value):
             raise ValueError("entries must be finite numbers or -inf")
         return value
+    from fractions import Fraction
+
+    if isinstance(value, Fraction):
+        return int(value) if value.denominator == 1 else value
     if isinstance(value, str):
         return _payload(Fraction(value))
     raise TypeError(f"cannot interpret {value!r} as a max-plus scalar")
@@ -69,7 +87,11 @@ def _payload(value):
 def _other_payload(other):
     if isinstance(other, TropScalar):
         return other._v
-    if isinstance(other, (int, Fraction, float)):
+    if isinstance(other, (int, float)):
+        return _payload(other)
+    from fractions import Fraction
+
+    if isinstance(other, Fraction):
         return _payload(other)
     return _MISSING
 
@@ -81,6 +103,8 @@ def _p_mul(a, b):
 
 
 def _p_pow(v, q):
+    from fractions import Fraction
+
     if isinstance(q, TropScalar):
         raise TypeError("exponents are plain numbers, not max-plus scalars")
     if not isinstance(q, (int, Fraction, float)):
@@ -132,6 +156,8 @@ class TropScalar:
 
     def root(self, k):
         """k-th tropical root, i.e. the value divided by k."""
+        from fractions import Fraction
+
         return self.__pow__(Fraction(1, int(k)))
 
     def __add__(self, other):
@@ -391,7 +417,7 @@ class TropMatrix:
     def _rows(self):
         if self._rowcache is None:
             if self._finite is None:
-                self._rowcache = _kernels.to_payload_rows(self._intcache)
+                self._rowcache = _load_kernels().to_payload_rows(self._intcache)
             else:
                 grid = [[None] * self._ncols for _ in range(self._nrows)]
                 for i, j, v in self._finite:
@@ -434,7 +460,7 @@ class TropMatrix:
 
     def _int_array(self):
         if self._intcache is _MISSING:
-            if not _kernels.available():
+            if not _load_kernels().available():
                 self._intcache = None
             elif self._finite is not None:
                 self._intcache = _kernels.from_entries(self.shape, self._finite)
@@ -537,22 +563,12 @@ class TropMatrix:
             best = _p_add(best, self._rows[i][i])
         return _scalar(best)
 
-    def trace_series(self):
-        """Tr(A) = tr A + tr A^2 + ... + tr A^n (tropical sums)."""
-        if not self.is_square:
-            raise ValueError("trace series needs a square matrix")
-        acc = None
-        power = self
-        for k in range(self._nrows):
-            if k:
-                power = power @ self
-            acc = _p_add(acc, power.trace()._v)
-        return _scalar(acc)
-
     def spectral_radius(self):
         """Largest mean cycle weight: max over k of tr(A^k) / k."""
         if not self.is_square:
             raise ValueError("spectral radius needs a square matrix")
+        from fractions import Fraction
+
         acc = None
         power = self
         for k in range(1, self._nrows + 1):
@@ -647,18 +663,19 @@ def _operands(mats, vecs=(), span=0):
     """(k, forms, vec_forms): the backend module k for an operation on the
     matrices `mats` and payload vectors `vecs`, each operand in k's form.
 
-    k is `_kernels`, with int64 arrays, when numpy is present, the first
-    matrix already holds its array or has at least `_KERNEL_DIM` rows
-    (`_IMPORT_DIM` while numpy is not imported), every operand converts,
-    and sums of `span` entries of the first matrix and the vectors are
-    exact (`_kernels.span_fits`; the other matrices derive from those).
-    Else k is `_loops`, with payload rows and tuples.
+    k is `_kernels`, with int64 arrays, when the first matrix already
+    holds its array or has at least `_KERNEL_DIM` rows (`_IMPORT_DIM`
+    while numpy is not imported), numpy is present, every operand
+    converts, and sums of `span` entries of the first matrix and the
+    vectors are exact (`_kernels.span_fits`; the other matrices derive
+    from those).  Else k is `_loops`, with payload rows and tuples.  The
+    row gate comes first, so a matrix below it never imports `_kernels`.
     """
     first = mats[0]
     dim = _KERNEL_DIM if "numpy" in sys.modules else _IMPORT_DIM
-    if _kernels.available() and (
+    if (
         first._held_int_array() is not None or first._nrows >= dim
-    ):
+    ) and _load_kernels().available():
         forms = [m._int_array() for m in mats]
         if all(a is not None for a in forms):
             vec_forms = [_kernels.from_payload_vec(v) for v in vecs]

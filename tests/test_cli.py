@@ -810,14 +810,19 @@ print(json.dumps({{"available": _kernels.available(), "runs": runs}}))
 """
 
 
+def _cli_env():
+    """The environment of a new interpreter that imports tropsched from src/."""
+    pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=pythonpath)
+
+
 def _fresh_interpreter(code, *args):
     """Run `code` in a new interpreter that imports tropsched from src/."""
-    pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", code, *args],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=pythonpath),
+        env=_cli_env(),
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
@@ -904,35 +909,89 @@ class TestLazyNumpy:
         )
 
 
-class TestColdStart:
-    """A CLI request loads neither `dataclasses` nor `inspect`: together
-    they cost a fresh interpreter about 10 ms of import time."""
+# modules a CLI request loads on first use only
+LAZY = {"tropsched._kernels", "tropsched.charts", "json", "fractions"}
 
-    def test_requests_do_not_import_dataclasses_or_inspect(self, tmp_path):
-        result = str(tmp_path / "result.json")
-        requests = [
-            ["solve", INSTANCE, "--objective", "makespan"],
-            ["solve", INSTANCE, "--objective", "makespan", "--format", "json",
-             "--out", result],
-            ["chart", result, "--member", "high"],
-            ["verify", INSTANCE, SCHEDULE],
-        ]
-        pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, PYTHONPATH=pythonpath)
-        for argv in requests:
-            proc = subprocess.run(
-                [sys.executable, "-X", "importtime", "-m", "tropsched.cli", *argv],
-                capture_output=True,
-                text=True,
-                env=env,
-            )
-            assert proc.returncode == 0, proc.stderr
-            # -X importtime writes "import time: self | cumulative | name"
-            imported = {
-                line.rsplit("|", 1)[1].strip()
-                for line in proc.stderr.splitlines()
-                if line.startswith("import time:")
-            }
-            # the package's modules are listed, so the report is complete
-            assert "tropsched.documents" in imported
-            assert not imported & {"dataclasses", "inspect"}, argv
+
+def _importtime_cli(argv):
+    """(stdout, modules imported) of `python -X importtime -m tropsched.cli
+    ARGV` in a fresh interpreter, which must exit 0."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "tropsched.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=_cli_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    # -X importtime writes "import time: self | cumulative | name"
+    imported = {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    # the package's modules are listed, so the report is complete
+    assert "tropsched.documents" in imported
+    return proc.stdout, imported
+
+
+class TestColdStart:
+    """A CLI request imports only what it runs: neither `dataclasses` nor
+    `inspect`, which together cost a fresh interpreter about 10 ms, and of
+    the int64 kernels, the charts, `json` and `fractions` only the ones
+    its command and numbers need."""
+
+    @pytest.fixture(scope="class")
+    def loaded(self, tmp_path_factory):
+        """argv -> the modules a fresh `tropsched` process imported for it."""
+        result = str(tmp_path_factory.mktemp("cold") / "result.json")
+        requests = {
+            "text": ["solve", INSTANCE, "--objective", "makespan"],
+            "json": ["solve", INSTANCE, "--objective", "makespan", "--format", "json",
+                     "--out", result],
+            "chart": ["chart", result, "--member", "high"],
+            "verify": ["verify", INSTANCE, SCHEDULE],
+        }
+        return {key: _importtime_cli(argv)[1] for key, argv in requests.items()}
+
+    def test_requests_do_not_import_dataclasses_or_inspect(self, loaded):
+        for key, imported in loaded.items():
+            assert not imported & {"dataclasses", "inspect"}, key
+
+    @pytest.mark.parametrize(
+        "key, wanted",
+        [
+            ("text", set()),
+            ("verify", set()),
+            ("json", {"json"}),
+            ("chart", {"tropsched.charts", "json"}),
+        ],
+    )
+    def test_requests_load_only_what_they_run(self, loaded, key, wanted):
+        assert loaded[key] & LAZY == wanted
+
+    def test_package_import_defers_charts(self):
+        out = _fresh_interpreter(
+            "import sys, tropsched\n"
+            "print('tropsched.charts' in sys.modules)\n"
+            "names = {}\n"
+            "exec('from tropsched import *', names)\n"
+            "from tropsched import charts\n"
+            "print(sorted(set(tropsched.__all__) - set(names)))\n"
+            "print(names['svg_gantt'] is charts.svg_gantt)\n"
+        )
+        assert out.split("\n") == ["False", "[]", "True", ""]
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    @pytest.mark.parametrize("lag", ["1.5", "3/2"])
+    def test_decimal_instance_prints_the_same_in_a_fresh_process(
+        self, tmp_path, capsys, lag, mode
+    ):
+        path = tmp_path / "decimal.inst"
+        path.write_text(NO_RELEASE.replace("lag=1\n", f"lag={lag}\n"))
+        for fmt in ("text", "json"):
+            argv = ["solve", str(path), "--objective", "makespan", "--mode", mode,
+                    "--format", fmt]
+            assert main(argv) == 0
+            out, imported = _importtime_cli(argv)
+            assert out == capsys.readouterr().out
+            assert ("fractions" in imported) == (mode == "exact" or "/" in lag)

@@ -5,10 +5,13 @@ best-effort arithmetic, not bitwise law compliance, and are exercised by
 the unit tests instead.
 """
 
+import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from tropsched import _kernels, semiring
 from tropsched import (
     BOTTOM,
     ONE,
@@ -58,16 +61,26 @@ def cycle_matrices(draw):
     which star runs the int64 kernels (20), filled from a drawn seed since
     drawing every entry of those would dominate the test's time.
     Self-loops are kept non-positive, so a positive cycle has to be found
-    by the closure."""
+    by the closure.
+
+    A large matrix is mostly below its diagonal, as a project network is,
+    with a drawn share of entries above it: its long row chains of
+    negative entries fold into bottoms, which the int64 closure must clamp
+    back to the sentinel, and about half of the draws have no positive
+    cycle."""
     kind = draw(st.sampled_from(["int", "fraction", "large"]))
     hi = draw(st.integers(0, 5))
     if kind == "large":
         n = draw(st.integers(21, 30))
-        rng = draw(st.randoms(use_true_random=True))
+        rng = random.Random(draw(st.integers(0, 2**32)))
         density = rng.random()
+        above = density * rng.choice([0.0, 0.05, 0.2, 1.0])
         rows = [
-            [rng.randint(-5, hi) if rng.random() < density else None for _ in range(n)]
-            for _ in range(n)
+            [
+                rng.randint(-5, hi) if rng.random() < (density if j < i else above) else None
+                for j in range(n)
+            ]
+            for i in range(n)
         ]
     else:
         n = draw(st.integers(1, 6))
@@ -241,19 +254,44 @@ class TestStarLaws:
     @settings(deadline=None)
     @given(cycle_matrices())
     def test_star_or_positive_witness(self, a):
+        # with numpy imported, the kernels take an int matrix from
+        # `_KERNEL_DIM` rows, whichever test files were collected
+        import numpy  # noqa: F401
+
         n = a.shape[0]
-        try:
-            s = a.star()
-        except PositiveCycleError as e:
-            assert len(set(e.cycle)) == len(e.cycle)
-            weight = ONE
-            cyc = e.cycle
-            for u, v in zip(cyc, cyc[1:] + cyc[:1]):
-                weight = weight * a[u, v]
-            assert weight == e.weight
-            assert weight > ONE
-        else:
-            assert s == TropMatrix.identity(n) + a @ s
+        outcomes = []
+        for kernels in (True, False):
+            m = TropMatrix._from_rows(a._rows)
+            with pytest.MonkeyPatch.context() as mp:
+                if not kernels:
+                    mp.setattr(_kernels, "available", lambda: False)
+                outcomes.append(star_or_witness(m))
+                # the kernels convert `m` and keep its array
+                served = m._held_int_array() is not None
+                assert served == (kernels and n >= semiring._KERNEL_DIM)
+        assert outcomes[0] == outcomes[1]
+
+
+def star_or_witness(a):
+    """Checks `a.star()` on the backend the caller set, and returns the
+    star's rows or the positive cycle and its weight."""
+    n = a.shape[0]
+    try:
+        s = a.star()
+    except PositiveCycleError as e:
+        assert len(set(e.cycle)) == len(e.cycle)
+        weight = ONE
+        cyc = e.cycle
+        for u, v in zip(cyc, cyc[1:] + cyc[:1]):
+            weight = weight * a[u, v]
+        assert weight == e.weight
+        assert weight > ONE
+        return e.cycle, e.weight
+    arr = s._held_int_array()
+    # the closure clamps every bottom back to at least the sentinel
+    assert arr is None or arr.min() >= _kernels.NEG
+    assert s == TropMatrix.identity(n) + a @ s
+    return s._rows
 
 
 @st.composite

@@ -302,8 +302,7 @@ class TestMatrix:
     def test_trace_and_series(self):
         m = TropMatrix([[N, 2], [3, N]])
         assert m.trace().is_bottom
-        assert m.trace_series() == TropScalar(5)
-        assert TropMatrix(golden.R_ROWS).trace_series() == ONE
+        assert TropMatrix([[1, 2], [3, -4]]).trace() == TropScalar(1)
 
     def test_spectral_radius(self):
         m = TropMatrix([[N, 2], [3, N]])
