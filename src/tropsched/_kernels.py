@@ -80,7 +80,7 @@ BOTTOM_CUTOFF = -(1 << 61)
 # (the matmul columns and the closure's block update)
 _DENSE_SHARE = 4
 # a closure row or column over more finite entries folds in one reduction;
-# fewer take one np.add or np.maximum each: `star` alone (best of 15, three
+# fewer take one np.add or np.maximum each: `closure` alone (best of 15, three
 # runs) took 1.4-1.5x as long on solve-int's R and 1.3-2.0x on the chain's
 # R when every fold was gathered
 _FEW = 4
@@ -259,7 +259,7 @@ def _fold(d, m, ks, vs):
     no two bottoms are added."""
     row = d[m, :m]
     if len(ks) > _FEW:
-        # the slice saves the gather: gathering full rows too took `star`
+        # the slice saves the gather: gathering full rows too took `closure`
         # 1.0-1.6x as long on a dense cyclic n = 300 matrix (best of 15,
         # three runs)
         lines = d[:m, :m] if len(ks) == m else d[ks, :m]
@@ -333,7 +333,7 @@ def closure(a):
                 # rows with a bottom in column m are masked out, and a
                 # bottom of row m set to NEG + BOTTOM_CUTOFF sums with a
                 # finite path to at most NEG; a full column takes no mask,
-                # since masking it too took `star` 1.2-1.6x as long on a
+                # since masking it too took `closure` 1.2-1.6x as long on a
                 # dense cyclic n = 300 matrix (best of 15, three runs)
                 lead = d[:m, :m]
                 low = np.where(fc, row, NEG + BOTTOM_CUTOFF)
@@ -345,12 +345,6 @@ def closure(a):
     # entry; the other kernels add two bottoms only from the sentinel up
     np.maximum(d, NEG, out=d)
     return d, t
-
-
-def star(a):
-    """(A*, n) of square `a`, or the stopped `closure` (d, t) when a cycle
-    is positive: `closure` already sets the star's diagonal to 0."""
-    return closure(a)
 
 
 def running_maxima(b, x, cap, left=False):

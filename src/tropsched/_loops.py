@@ -124,15 +124,15 @@ def scale_max(acc, scale, base):
 
 
 def closure(a):
-    """Floyd-Warshall max-plus closure A+ as mutable row lists, stopped
-    before the first pivot t whose diagonal d[t][t] is positive.
+    """Floyd-Warshall max-plus star A* = I max A+ of square `a` as mutable
+    row lists, stopped before the first pivot t whose diagonal d[t][t] is
+    positive.
 
     Returns (d, t), with t = len(a) when no cycle is positive.  Before
     pivot t, d[t][t] is the heaviest cycle through t over nodes below t,
     and d[u][t] for u < t the longest path u -> t through them: the stop
     and the column t at and above the diagonal that `_kernels.closure`
-    also gives, and all `semiring._positive_cycle_witness` reads.  Unlike
-    it, this closure keeps A+'s diagonal, which `optimize` reads.  A float
+    also gives, and all `semiring._positive_cycle_witness` reads.  A float
     diagonal counts as positive only above FLOAT_TOL, so that a cycle
     whose float weight is rounding noise (0.1 + 0.2 - 0.3) does not make
     feasible data infeasible.
@@ -155,18 +155,9 @@ def closure(a):
                 v = dik + dkj
                 if di[j] is None or v > di[j]:
                     di[j] = v
+    for i, row in enumerate(d):
+        row[i] = 0
     return d, n
-
-
-def star(a):
-    """(A* = I max A+, n) of square `a`, or the stopped `closure` (d, t)
-    when a cycle is positive; `_kernels.star` gives the same star, and
-    the same t and column t at and above the diagonal when stopped."""
-    d, t = closure(a)
-    if t == len(d):
-        for i, row in enumerate(d):
-            row[i] = 0
-    return d, t
 
 
 def running_maxima(b, x, cap, left=False):

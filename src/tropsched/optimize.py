@@ -1,19 +1,25 @@
 """Minimize x~ A x over max-plus vectors x subject to B x <= x and g <= x <= h.
 
-Two solvers cover the same problem shape.  solve_general handles any A in
-O(n^5) time and serves as the cross-check of solve_rank_one, which
-requires A = p q~ and assembles the optimum and its parametric solution
-family in O(n^3) time.  Both return a SolutionFamily describing every
-regular optimal solution as x = G u with g <= u <= u_high, u nonzero.
+Two solvers cover the same problem shape.  solve_general handles any A and
+serves as the cross-check of solve_rank_one, which requires A = p q~; both
+assemble the optimum and its parametric solution family in O(n^3) time.
+Both return a SolutionFamily describing every regular optimal solution as
+x = G u with g <= u <= u_high, u nonzero.
 
-solve_general's theta is the maximum, over k = 1..n, of the 1/k-th powers
-of the traces of the words in {A, B} of length at most n with k factors A
-that start with A, and of h~ w g over the words w of length at most n - 1
-with k factors A.  A trace is invariant under rotation, so the traces may
-range over all such words.  The sum W(l, k) of the words of length l with
-k factors A follows W(l, k) = W(l-1, k) B + W(l-1, k-1) A from
-W(0, 0) = I, and h~ W(l, k) the same recurrence from h~: n^2 matrix
-products in all.
+The general closed form takes theta as the maximum, over k >= 1, of the
+1/k-th powers of the traces of the words in {A, B} of length at most n
+with k factors A, and of h~ w g over the words w of length at most n - 1
+with k factors A.  Those length bounds can be dropped.  A closed walk in
+the graph of A and B splits into elementary cycles, and its weight over
+its count of A-edges is at most the largest such ratio among them (the
+mediant inequality), since a cycle with no A-edge is a cycle of B and
+weighs at most 0 once B* exists.  A walk from a release to a deadline
+splits into one elementary path and cycles in the same way, and a path
+with no A-edge weighs at most 0 by the box gate h~ B* g <= 0.  With
+S = B* and M = A S, theta is thus the spectral radius of M, its maximum
+cycle mean (Karp's algorithm, `TropMatrix.spectral_radius`), max the
+boundary terms (h~ S M^k g)^(1/k) for k = 1..n-1: one product A S, the
+two stars and 2n - 1 vector-matrix products.
 
 solve_rank_one's closed form sums (B^i p)(W_{n-2-i}) over i = 0..n-2, with
 W_j the maximum of q~ B^0, ..., q~ B^j.  It takes the running maxima
@@ -32,7 +38,6 @@ from __future__ import annotations
 from . import _loops
 from ._record import Record
 from .semiring import (
-    BOTTOM,
     PositiveCycleError,
     TropMatrix,
     TropScalar,
@@ -137,10 +142,7 @@ class GeneralProblem(Record):
                 raise ValueError(f"{name} must have length {n}")
         if not self.h.is_regular:
             raise ValueError("upper bound h must be regular")
-        # the spectral radius is bottom iff no node reaches itself in A+;
-        # a closure stopped at a positive diagonal has a finite one
-        closed, _ = _loops.closure(self.A._rows)
-        if all(closed[i][i] is None for i in range(n)):
+        if self.A.spectral_radius().is_bottom:
             raise ValueError("degenerate objective: A has bottom spectral radius")
 
     @property
@@ -257,22 +259,20 @@ def _dominant_terms(n, dv, dw):
 
 
 def solve_general(prob):
-    """Solution family for an arbitrary objective matrix, by the word
-    recurrence in the module docstring: O(n^5) time."""
+    """Solution family for an arbitrary objective matrix, from the spectral
+    radius of A B* and the boundary terms in the module docstring: O(n^3)
+    time."""
     A, B, g, h = prob.A, prob.B, prob.g, prob.h
-    n = prob.n
     star = _constraint_star(B)
     hc = h.conj()
-    _check_box_gate((hc @ star) @ g)
+    row = hc @ star
+    _check_box_gate(row @ g)
 
-    theta = BOTTOM
-    words, rows = [TropMatrix.identity(n)], [hc]
-    for _ in range(n):
-        for k, r in enumerate(rows[1:], 1):
-            theta += (r @ g).root(k)
-        words, rows = _extend(words, A, B), _extend(rows, A, B)
-        for k, w in enumerate(words[1:], 1):
-            theta += w.trace().root(k)
+    M = A @ star
+    theta = M.spectral_radius()
+    for k in range(1, prob.n):
+        row = row @ M
+        theta += (row @ g).root(k)
     assert not theta.is_bottom, "optimal value fell to bottom"
 
     try:
@@ -283,15 +283,6 @@ def solve_general(prob):
     return SolutionFamily(
         theta=theta, G=G, u_low=g, u_high=u_high, B=B, g=g, h=h
     )
-
-
-def _extend(words, A, B):
-    """The word sums one factor longer: words[k] sums the words with k
-    factors A, and each word ends in one more B, or in one more A, which
-    moves it to k + 1."""
-    with_b = [w @ B for w in words]
-    with_a = [w @ A for w in words]
-    return with_b[:1] + [b + a for b, a in zip(with_b[1:], with_a)] + with_a[-1:]
 
 
 def family_member(fam, u):

@@ -564,18 +564,34 @@ class TropMatrix:
         return _scalar(best)
 
     def spectral_radius(self):
-        """Largest mean cycle weight: max over k of tr(A^k) / k."""
+        """Largest mean cycle weight, bottom when there is no cycle, by
+        Karp's algorithm in n vector-matrix products: with D_k the heaviest
+        walks of k edges into each node (D_0 = 0, D_k = D_(k-1) A), it is
+        the largest, over the nodes v with a finite D_n[v], of the least
+        (D_n[v] - D_k[v]) / (n - k) over k < n, exact for exact entries."""
         if not self.is_square:
             raise ValueError("spectral radius needs a square matrix")
         from fractions import Fraction
 
-        acc = None
-        power = self
-        for k in range(1, self._nrows + 1):
-            if k > 1:
-                power = power @ self
-            acc = _p_add(acc, _p_pow(power.trace()._v, Fraction(1, k)))
-        return _scalar(acc)
+        n = self._nrows
+        walks = [TropVector.ones(n)]
+        for _ in range(n):
+            walks.append(walks[-1] @ self)
+        best = None
+        for v, last in enumerate(walks[-1]._e):
+            if last is None:
+                continue
+            # compare the ratios by cross-multiplying and divide once per
+            # node: a Fraction per ratio cost n^2 of them
+            num, den = None, 1
+            for k, d in enumerate(walks[:-1]):
+                x = d._e[v]
+                if x is None:
+                    continue
+                if num is None or (last - x) * den < num * (n - k):
+                    num, den = last - x, n - k
+            best = _p_add(best, _p_pow(num, Fraction(1, den)))
+        return _scalar(best)
 
     def norm(self):
         """Largest entry (bottom for an empty or all-bottom matrix)."""
@@ -596,7 +612,7 @@ class TropMatrix:
             raise ValueError("star needs a square matrix")
         # a path sums at most n - 1 entries
         k, (a,), _ = _operands([self], span=self._nrows - 1)
-        closed, t = k.star(a)
+        closed, t = k.closure(a)
         if t < self._nrows:
             cycle, weight = _positive_cycle_witness(k, a, closed, t)
             raise PositiveCycleError(cycle, _scalar(weight))

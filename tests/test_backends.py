@@ -102,15 +102,15 @@ class TestPayloadKernelsMatchInt64:
         # then both stop at the same node with the same column above it
         rng = np.random.default_rng(seed)
         a = rand_array(rng, (n, n), bottoms, hi=hi)
-        (got, t), (want, u) = _loops.star(rows(a)), _kernels.star(a)
+        (got, t), (want, u) = _loops.closure(rows(a)), _kernels.closure(a)
         assert star_contract(loops_rows(got), t) == star_contract(rows(want), u)
 
     def test_star_of_a_positive_cycle(self):
         # the cycle 0 -> 1 -> 2 -> 0 first closes at its highest node
         a = np.full((3, 3), _kernels.NEG, dtype=np.int64)
         a[0, 1], a[1, 2], a[2, 0] = 2, -1, 0
-        assert _loops.star(rows(a))[1] == 2
-        assert _kernels.star(a)[1] == 2
+        assert _loops.closure(rows(a))[1] == 2
+        assert _kernels.closure(a)[1] == 2
 
     @settings(max_examples=40, deadline=None)
     @given(SIZES, BOTTOMS, SEEDS, st.booleans())
@@ -238,7 +238,7 @@ class TestWitnessOnKernels:
         a = rand_array(rng, (n, n), bottoms, hi=2)
         if not loops:
             np.fill_diagonal(a, _kernels.NEG)
-        if _kernels.star(a)[1] == n:
+        if _kernels.closure(a)[1] == n:
             return
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(_kernels, "to_payload_rows", no_boxing)

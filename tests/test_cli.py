@@ -875,7 +875,7 @@ class TestLazyNumpy:
         prelude = (
             "import numpy\n" * imported
             + "from tropsched import _loops\n"
-            "_loops.star = _loops.running_maxima = None"
+            "_loops.closure = _loops.running_maxima = None"
         )
         argv = ["solve", _layered_file(tmp_path, 30), "--objective", "makespan"]
         (run,) = _fresh_cli([argv], prelude=prelude)["runs"]

@@ -31,7 +31,7 @@ from tropsched import (
     solve_makespan,
     solve_rank_one,
 )
-from tropsched import _kernels, optimize
+from tropsched import _kernels, _loops, optimize
 from tropsched.optimize import _rank_one
 from tropsched.semiring import _operands
 
@@ -237,6 +237,61 @@ def enumerated_general(prob):
     return theta, G, (hc @ G).conj()
 
 
+def recurrence_general(prob):
+    """(theta, G, u_high) of the general closed form with its word sums
+    taken one length at a time: the sum W(l, k) of the words of length l
+    with k factors A follows W(l, k) = W(l-1, k) B + W(l-1, k-1) A from
+    W(0, 0) = I, and h~ W(l, k) the same recurrence from h~.  n^2 matrix
+    products, O(n^5); the gates, the float tolerances and the generator
+    are the solver's."""
+    A, B, g, h, n = prob.A, prob.B, prob.g, prob.h, prob.n
+    star = optimize._constraint_star(B)
+    hc = h.conj()
+    optimize._check_box_gate((hc @ star) @ g)
+
+    def extend(words):
+        # each word ends in one more B, or in one more A, which moves it
+        # from words[k] to words[k + 1]
+        with_b = [w @ B for w in words]
+        with_a = [w @ A for w in words]
+        return with_b[:1] + [b + a for b, a in zip(with_b[1:], with_a)] + with_a[-1:]
+
+    theta = TropScalar()
+    words, rows = [TropMatrix.identity(n)], [hc]
+    for _ in range(n):
+        for k, r in enumerate(rows[1:], 1):
+            theta += (r @ g).root(k)
+        words, rows = extend(words), extend(rows)
+        for k, w in enumerate(words[1:], 1):
+            theta += w.trace().root(k)
+    G = (theta.inv() * A + B).star()
+    return theta, G, optimize._lift_rounded(g, (hc @ G).conj())
+
+
+def powers_radius(m):
+    """The spectral radius as the largest tr(m^k)^(1/k), k = 1..n: O(n^4)."""
+    radius, power = TropScalar(), m
+    for k in range(1, m.shape[0] + 1):
+        if k > 1:
+            power = power @ m
+        radius += power.trace() ** Fraction(1, k)
+    return radius
+
+
+def assert_close(got, want):
+    """Scalars, vectors or matrices with bottoms in the same places and
+    finite entries within 1e-9."""
+
+    def flat(x):
+        if isinstance(x, TropMatrix):
+            return [v for row in x._rows for v in row]
+        return list(x._e) if isinstance(x, TropVector) else [x.value]
+
+    got, want = flat(got), flat(want)
+    assert [v is None for v in got] == [v is None for v in want]
+    assert all(a is None or abs(a - b) <= 1e-9 for a, b in zip(got, want))
+
+
 def general_problem(rng, n, p_bottom, unit, potentials):
     """A random GeneralProblem with entries in unit * [-3, 3], each of A, B
     and g bottom with probability p_bottom; one diagonal entry of A is
@@ -293,15 +348,43 @@ class TestGeneralRecurrence:
     )
     def test_matches_the_enumeration(self, n, p_bottom, unit, potentials, seed):
         prob = general_problem(random.Random(seed), n, p_bottom, unit, potentials)
+        assert prob.A.spectral_radius() == powers_radius(prob.A)
         try:
             expected = enumerated_general(prob)
+        except InfeasibleError as e:
+            for solve in (solve_general, recurrence_general):
+                with pytest.raises(InfeasibleError) as got:
+                    solve(prob)
+                assert got.value.kind == e.kind
+            return
+        M = prob.A @ prob.B.star()
+        assert M.spectral_radius() == powers_radius(M)
+        assert recurrence_general(prob) == expected
+        fam = solve_general(prob)
+        assert (fam.theta, fam.G, fam.u_high) == expected
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(1, 7),
+        st.sampled_from([0.2, 0.5, 0.8, 1.0]),
+        st.booleans(),
+        st.integers(0, 2**32),
+    )
+    def test_float_tenths_match_the_recurrence(self, n, p_bottom, potentials, seed):
+        prob = general_problem(random.Random(seed), n, p_bottom, 0.1, potentials)
+        assert_close(prob.A.spectral_radius(), powers_radius(prob.A))
+        try:
+            expected = recurrence_general(prob)
         except InfeasibleError as e:
             with pytest.raises(InfeasibleError) as got:
                 solve_general(prob)
             assert got.value.kind == e.kind
             return
+        M = prob.A @ prob.B.star()
+        assert_close(M.spectral_radius(), powers_radius(M))
         fam = solve_general(prob)
-        assert (fam.theta, fam.G, fam.u_high) == expected
+        for got, want in zip((fam.theta, fam.G, fam.u_high), expected):
+            assert_close(got, want)
 
     def test_float_problems_in_tenths(self):
         # the same draws in float and in exact tenths: a rounded theta
@@ -341,8 +424,17 @@ class TestGeneralRecurrence:
                 [-3, -1, 3],
                 3,
             ),
+            # h~ B A g = 3 + 2 + 1 + 0: the word B A, which a boundary term
+            # h~ (A B*)^k g without the leading B* misses
+            (
+                [[N, N, N], [N, N, 1], [N, N, -2]],
+                [[N, 2, N], [N, N, N], [N, N, N]],
+                [N, N, 0],
+                [-3, 5, 0],
+                6,
+            ),
         ],
-        ids=["trace", "boundary"],
+        ids=["trace", "boundary", "boundary-b-first"],
     )
     def test_theta_set_by_a_word_with_a_before_b(self, A, B, g, h, theta):
         prob = GeneralProblem(
@@ -353,15 +445,15 @@ class TestGeneralRecurrence:
         assert (fam.theta, fam.G, fam.u_high) == enumerated_general(prob)
 
     def test_polynomial_time(self):
-        prob = general_problem(random.Random(11), 11, 0.5, 1, potentials=True)
+        prob = general_problem(random.Random(48), 48, 0.5, 1, potentials=True)
         elapsed = []
         for _ in range(3):
             t0 = time.perf_counter()
             solve_general(prob)
             elapsed.append(time.perf_counter() - t0)
-        assert min(elapsed) < 0.1, f"took {min(elapsed) * 1000:.1f} ms"
+        assert min(elapsed) < 0.5, f"took {min(elapsed) * 1000:.1f} ms"
 
-    @pytest.mark.parametrize("n", [20, 24, 32])
+    @pytest.mark.parametrize("n", [20, 24, 32, 100, 300])
     def test_rank_one_on_kernels_agrees(self, n):
         # numpy is imported, so the rank-one solve of these reduced
         # problems runs on the int64 kernels
@@ -382,6 +474,57 @@ class TestGeneralRecurrence:
             for a, b in ((rank_one, general), (general, rank_one)):
                 for u in (a.u_low, a.u_high):
                     assert family_contains(b, family_member(a, u), prob.objective)
+
+
+class TestSpectralRadius:
+    """Karp's cycle mean against the trace of powers, on each backend."""
+
+    @staticmethod
+    def _rows(rng, n, p_bottom, pick):
+        return [[N if rng.random() < p_bottom else pick() for _ in range(n)]
+                for _ in range(n)]
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(20, 40), st.sampled_from([0.5, 0.8, 0.95]), st.integers(0, 2**32))
+    def test_same_on_both_backends(self, n, p_bottom, seed):
+        # numpy is imported, so from 20 rows the walk vectors take the
+        # int64 kernels; with `available` false they take the payload loops
+        rng = random.Random(seed)
+        rows = self._rows(rng, n, p_bottom, lambda: rng.randint(-9, 9))
+        fast = TropMatrix(rows)
+        radius = fast.spectral_radius()
+        assert fast._held_int_array() is not None
+        assert radius == powers_radius(fast)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernels, "available", lambda: False)
+            slow = TropMatrix(rows)
+            assert slow.spectral_radius() == radius
+            assert slow._held_int_array() is None
+
+    def test_walks_past_the_kernel_cap_fall_back(self, monkeypatch):
+        # entries near MAG_CAP / 12: the int64 kernels take the first walk
+        # steps, and once a walk entry passes MAG_CAP the payload loops take
+        # the rest, with the same exact radius as the payloads alone
+        n, cap = 24, _kernels.MAG_CAP // 12
+        rng = random.Random(24)
+        rows = self._rows(
+            rng, n, 0.5, lambda: rng.choice([1, -1]) * (cap - rng.randint(0, 9))
+        )
+        calls = {}
+        for k in (_kernels, _loops):
+            real = k.vecmat
+
+            def counted(v, a, k=k, real=real):
+                calls[k] = calls.get(k, 0) + 1
+                return real(v, a)
+
+            monkeypatch.setattr(k, "vecmat", counted)
+        radius = TropMatrix(rows).spectral_radius()
+        assert calls[_kernels] > 0 and calls[_loops] > 0
+        assert calls[_kernels] + calls[_loops] == n
+        monkeypatch.setattr(_kernels, "available", lambda: False)
+        assert TropMatrix(rows).spectral_radius() == radius
+        assert powers_radius(TropMatrix(rows)) == radius
 
 
 class TestInfeasible:
@@ -510,8 +653,8 @@ class TestValidation:
         st.sampled_from([1, Fraction(1, 3), 0.5]),
     )
     def test_degeneracy_matches_the_spectral_radius(self, n, p_bottom, seed, unit):
-        # the check reads the closure's diagonal; A is degenerate exactly
-        # when its spectral radius is bottom, positive cycles included
+        # A is degenerate exactly when it has no cycle, positive cycles
+        # included: the trace of some power up to A^n is then finite
         rng = random.Random(seed)
         A = TropMatrix(
             [
@@ -525,7 +668,7 @@ class TestValidation:
         def build():
             return GeneralProblem(A=A, B=TropMatrix.zeros(n), g=ones, h=ones)
 
-        if A.spectral_radius().is_bottom:
+        if powers_radius(A).is_bottom:
             with pytest.raises(ValueError, match="degenerate objective"):
                 build()
         else:

@@ -216,7 +216,7 @@ class TestReduceOnArrays:
         star = R.star()
         assert R._held_int_array() is not None
         assert star._held_int_array() is not None
-        assert star == TropMatrix._from_rows(_loops.star(R._rows)[0])
+        assert star == TropMatrix._from_rows(_loops.closure(R._rows)[0])
 
     def test_small_instances_stay_on_payloads(self):
         inst = randgen.rand_instance(random.Random(3), nmin=19, nmax=19)
