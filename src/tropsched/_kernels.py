@@ -18,11 +18,13 @@ bottom entry plus such a sum stays at or below it.  `span_fits` checks such
 a bound; a star asks it of n - 1.
 
 The rank-one solve (`optimize`) forms longer sums.  With M the largest
-finite magnitude in B, p, q~, g and h~: its chain entries (running maxima
-of B^i p and q~ B^j, i, j <= n - 2; it keeps only some) stay within
-(n - 1) M, theta within 2n M, an outer product term minus theta within
-(4n - 2) M, and h~ G within (4n - 1) M; a bottom drifts by at most the same
-sums.  It asks `span_fits` of 4n.
+finite magnitude in B, p, q~, g and h~, and S = B* within (n - 1) M: S p,
+q~ S and h~ S stay within n M, each of their dots with a vector within
+(n + 1) M, and so theta = q~ S p max (h~ S p)(q~ S g) within 2(n + 1) M;
+a rank-one term (S p)_i + (q~ S)_j - theta stays within (4n + 2) M, and
+h~ G within (4n + 3) M.  A bottom drifts by at most the same sums, and
+`outer_acc` clamps the sum of two bottoms back to the sentinel before
+theta is subtracted.  It asks `span_fits` of 4n + 3.
 
 `closure` borders: step m extends the star S of nodes 0..m-1 by node m,
 reading only the finite entries of row m left of the diagonal and of
@@ -51,12 +53,6 @@ taken whole, so a bottom b[k][j] plus a finite a[i][k] is formed, as the
 dense product forms it: the bottom's drift grows by |a[i][k]| <= M, one
 more entry of the sums the bounds above count, so the sum stays at or
 below the cutoff and reads back as bottom.
-
-`running_maxima` gathers the finite entries of b (of b.T for x b) once,
-row by row, however dense b is, and each step takes the largest b[i][j] + x[j] over a row's
-entries with one `np.maximum.reduceat`.  It forms no sum with a bottom
-b[i][j]; a bottom x[j] plus a finite b[i][j] drifts by one entry, and
-every step resets its bottoms to the sentinel.
 
 `json_pieces` lays an array out as text for the result document without
 boxing an entry: the caller's `piece` gives the text of one payload (None
@@ -244,11 +240,6 @@ def span_fits(k, *arrays):
     return span < -BOTTOM_CUTOFF and NEG + span <= BOTTOM_CUTOFF
 
 
-def _reset_bottom(a):
-    """Copy of `a` with every bottom entry back at the sentinel."""
-    return np.where(a > BOTTOM_CUTOFF, a, NEG)
-
-
 def _fold(d, m, ks, vs):
     """Row m of `d` left of the diagonal set to r S, for S the star in
     d[:m, :m] and r the entries `vs` at the columns `ks` (lists): the
@@ -347,51 +338,25 @@ def closure(a):
     return d, t
 
 
-def running_maxima(b, x, cap, left=False):
-    """Rows x, x max b x, ... (x b when `left`) up to row cap, stopped
-    before the first repeat; bottoms are reset at every step, so a drifted
-    one cannot hide a repeat.
-
-    A step reads only the finite entries of b, gathered once row by row
-    (of b.T when `left`): row i of the step is the largest b[i][j] + x[j]
-    over its entries, and a row with none stays bottom.
-    """
-    m = b.T if left else b
-    ri, ci = (m > BOTTOM_CUTOFF).nonzero()
-    vals = m[ri, ci]
-    starts = np.flatnonzero(np.diff(ri, prepend=-1))
-    heads = ri[starts]
-    rows = [_reset_bottom(x)]
-    for _ in range(cap):
-        cur = rows[-1]
-        nxt = cur.copy()
-        step = _reset_bottom(np.maximum.reduceat(vals + cur[ci], starts))
-        nxt[heads] = np.maximum(cur[heads], step)
-        if np.array_equal(nxt, cur):
-            break
-        rows.append(nxt)
-    return np.stack(rows)
-
-
 def dot(u, v):
     """Max-plus dot product as a payload: an int, or None for bottom."""
     s = int(np.max(u + v, initial=NEG))
     return None if s <= BOTTOM_CUTOFF else s
 
 
-def take(rows, idx):
-    return rows[idx]
-
-
 def transpose(a):
     return a.T
 
 
-# no caller in the package: kept only because bench/tracing.py wraps it
+def bottoms(nrows, ncols):
+    return np.full((nrows, ncols), NEG, dtype=np.int64)
+
+
 def outer_acc(acc, v, w):
-    """acc = acc max (v_i + w_j), in place."""
+    """acc max (v_i + w_j), written into acc and returned, clamped."""
     np.maximum(acc, v[:, None] + w[None, :], out=acc)
     np.maximum(acc, NEG, out=acc)
+    return acc
 
 
 def scale_max(acc, scale, base):

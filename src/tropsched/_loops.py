@@ -5,9 +5,9 @@ A matrix is a sequence of rows, so one with no rows has no columns.
 Only `closure` compares with a tolerance (`_positive`): a float diagonal
 stops it only above FLOAT_TOL.
 
-The products and the chain steps visit only finite entries, listed once
-per call, in the order a dot over every position visits them, so that of
-two equal sums (0.0 and -0.0 compare equal) the same one stays.
+The products visit only finite entries, listed once per call, in the
+order a dot over every position visits them, so that of two equal sums
+(0.0 and -0.0 compare equal) the same one stays.
 """
 
 from __future__ import annotations
@@ -98,10 +98,6 @@ def transpose(a):
     return tuple(zip(*a))
 
 
-def take(rows, idx):
-    return [rows[i] for i in idx]
-
-
 def to_payload_vec(v):
     return tuple(v)
 
@@ -110,6 +106,20 @@ def row_entries(a, i):
     """The finite entries of row i of `a` as `(col, payload)` pairs, in
     ascending column order."""
     return [(j, x) for j, x in enumerate(a[i]) if x is not None]
+
+
+def bottoms(nrows, ncols):
+    return ((None,) * ncols,) * nrows
+
+
+def outer_acc(acc, v, w):
+    """acc max (v_i + w_j)."""
+    return tuple(
+        ra if x is None else tuple(
+            a if y is None else _p_add(a, x + y) for a, y in zip(ra, w)
+        )
+        for ra, x in zip(acc, v)
+    )
 
 
 def scale_max(acc, scale, base):
@@ -158,19 +168,3 @@ def closure(a):
     for i, row in enumerate(d):
         row[i] = 0
     return d, n
-
-
-def running_maxima(b, x, cap, left=False):
-    """Rows x, x max b x, ... (x b when `left`) up to row cap, stopped
-    before the first repeat.  The finite entries of b are listed once."""
-    fin = _finite_rows(b)
-    ncols = len(b[0]) if b else 0
-    rows = [tuple(x)]
-    for _ in range(cap):
-        cur = rows[-1]
-        step = _fold(cur, fin, ncols) if left else [_best(r, cur) for r in fin]
-        nxt = tuple(map(_p_add, cur, step))
-        if nxt == cur:
-            break
-        rows.append(nxt)
-    return rows

@@ -21,13 +21,26 @@ cycle mean (Karp's algorithm, `TropMatrix.spectral_radius`), max the
 boundary terms (h~ S M^k g)^(1/k) for k = 1..n-1: one product A S, the
 two stars and 2n - 1 vector-matrix products.
 
-solve_rank_one's closed form sums (B^i p)(W_{n-2-i}) over i = 0..n-2, with
-W_j the maximum of q~ B^0, ..., q~ B^j.  It takes the running maxima
-V_i = V_{i-1} + B V_{i-1} and W_j = W_{j-1} + W_{j-1} B, each stopped at
-its first repeat, after which it cannot change; V_i may replace B^i p, as
-B^k p W_{n-2-i} <= B^k p W_{n-2-k} for k <= i.  As V rises and W_{n-2-i}
-falls with i, the terms with n-2-dw <= i <= dv (dv, dw: the chains' last
-indices) dominate the rest, or V_dv W_dw alone when there are none.
+solve_rank_one's closed form is the same argument with one A-edge.  With
+A = p q~, a walk from a release to a deadline through one A-edge weighs
+(h~ B^i p)(q~ B^j g), and a closed walk through one A-edge q~ B^j B^i p.
+The paper's truncated sum keeps the terms with i + j <= n - 2; a longer
+term visits n + 1 nodes or more, so it repeats one.  A repeat on one side
+of the A-edge closes a B-cycle, which weighs at most 0, so dropping it
+gives a shorter term; a repeat across the A-edge splits off a closed walk
+through it, which weighs at most q~ S p, and leaves a walk with no A-edge
+from g to h, which weighs at most h~ S g <= 0 by the box gate.  So every
+longer term is dominated, and the optimum is
+
+    theta = q~ S p  +  (h~ S p)(q~ S g),
+
+all tropical.  The generator is (theta^-1 p q~ + B)* = S (theta^-1 p q~ S)*
+(Carré, 1971; Butkovič, "Max-linear Systems", 2010), and since theta is at
+least q~ S p, (theta^-1 p q~ S)* = I + theta^-1 p q~ S, so
+
+    G = S  +  theta^-1 (S p)(q~ S):
+
+the star, one matrix-vector product each way and one rank-one update.
 
 `_rank_one` writes that closed form once, over the backend that
 `semiring._operands` picks for the whole problem.
@@ -46,6 +59,7 @@ from .semiring import (
     _operands,
     _p_add,
     _p_lt,
+    _p_mul,
     _p_str,
     _scalar,
 )
@@ -209,7 +223,7 @@ def _lift_rounded(u_low, u_high):
 def solve_rank_one(prob):
     """Closed-form O(n^3) solution family for a rank-one objective, on the
     int64 kernels when `semiring._operands` admits B and the vectors with
-    sums of 4n entries, else on exact payloads, with the same result."""
+    sums of 4n + 3 entries, else on exact payloads, with the same result."""
     B, g, h = prob.B, prob.g, prob.h
     star = _constraint_star(B)
     theta, G, u_high = _rank_one(prob, star)
@@ -224,38 +238,25 @@ def _rank_one(prob, star):
     backend `_operands` picks, converted in once and out once."""
     n = prob.n
     vecs = (prob.p, prob.q.conj(), prob.g, prob.h.conj())
-    # its sums add at most 4n entries: see the int64 bound in `_kernels`
-    k, (b, s), (p, qc, g, hc) = _operands(
-        [prob.B, star], [v._e for v in vecs], span=4 * n
+    # B leads so that the span counts entries of B and the vectors: the
+    # sums add at most 4n + 3 of them (see the int64 bound in `_kernels`)
+    k, (_, s), (p, qc, g, hc) = _operands(
+        [prob.B, star], [v._e for v in vecs], span=4 * n + 3
     )
     _check_box_gate(_scalar(k.dot(k.vecmat(hc, s), g)))
-    vs = k.running_maxima(b, p, n - 2)
-    ws = k.running_maxima(b, qc, n - 2, left=True)
-    iv, jw = _dominant_terms(n, len(vs) - 1, len(ws) - 1)
-    vs, ws = k.take(vs, iv), k.take(ws, jw)
-    theta = _p_add(
-        k.dot(k.vecmat(qc, s), p), k.dot(k.matvec(vs, hc), k.matvec(ws, g))
-    )
+    sp, qs = k.matvec(s, p), k.vecmat(qc, s)
+    theta = _p_add(k.dot(qs, p), _p_mul(k.dot(hc, sp), k.dot(qs, g)))
     assert theta is not None, "optimal value fell to bottom"
-    G = _scaled_outer_sum(k, s, -theta, vs, ws) if iv else s
+    G = _scaled_outer_sum(k, s, -theta, sp, qs)
     u_high = TropVector._from_payloads(k.to_payload_vec(k.vecmat(hc, G)))
     return _scalar(theta), _matrix(k, G), u_high.conj()
 
 
-def _scaled_outer_sum(k, base, scale, vs, ws):
-    """base + scale * (sum of outer(vs[i], ws[i]) over i), all tropical:
-    the generator assembly, one max-plus product of the stacked chain
-    rows on backend k."""
-    return k.scale_max(k.matmul(k.transpose(vs), ws), scale, base)
-
-
-def _dominant_terms(n, dv, dw):
-    """Indices (iv, jw) of the chain terms V_i W_j that dominate the rest,
-    given the chains' last indices dv and dw (see the module docstring)."""
-    if n < 2:
-        return [], []
-    iv = list(range(max(0, n - 2 - dw), dv + 1))
-    return (iv, [n - 2 - i for i in iv]) if iv else ([dv], [dw])
+def _scaled_outer_sum(k, base, scale, v, w):
+    """base + scale * outer(v, w), all tropical, on backend k: the
+    generator's rank-one update, base[i][j] max (v_i + w_j) + scale."""
+    acc = k.outer_acc(k.bottoms(len(v), len(w)), v, w)
+    return k.scale_max(acc, scale, base)
 
 
 def solve_general(prob):

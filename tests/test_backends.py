@@ -86,6 +86,16 @@ class TestPayloadKernelsMatchInt64:
         assert loops_rows(got) == rows(_kernels.scale_max(d, scale, b))
 
     @settings(max_examples=40, deadline=None)
+    @given(SIZES, SIZES, BOTTOMS, SEEDS)
+    def test_outer_acc(self, m, n, bottoms, seed):
+        rng = np.random.default_rng(seed)
+        acc = rand_array(rng, (m, n), bottoms)
+        v, w = rand_array(rng, m, bottoms), rand_array(rng, n, bottoms)
+        got = _loops.outer_acc(rows(acc), vec(v), vec(w))
+        assert loops_rows(got) == rows(_kernels.outer_acc(acc, v, w))
+        assert _loops.bottoms(m, n) == rows(_kernels.bottoms(m, n))
+
+    @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 45), BOTTOMS, SEEDS)
     def test_row_entries(self, n, bottoms, seed):
         rng = np.random.default_rng(seed)
@@ -111,18 +121,6 @@ class TestPayloadKernelsMatchInt64:
         a[0, 1], a[1, 2], a[2, 0] = 2, -1, 0
         assert _loops.closure(rows(a))[1] == 2
         assert _kernels.closure(a)[1] == 2
-
-    @settings(max_examples=40, deadline=None)
-    @given(SIZES, BOTTOMS, SEEDS, st.booleans())
-    def test_running_maxima(self, n, bottoms, seed, left):
-        rng = np.random.default_rng(seed)
-        b = rand_array(rng, (n, n), bottoms, hi=1)
-        x = rand_array(rng, n, bottoms)
-        got = _loops.running_maxima(rows(b), vec(x), n - 2, left=left)
-        want = _kernels.running_maxima(b, x, n - 2, left=left)
-        assert loops_rows(got) == rows(want)
-        idx = list(range(len(got)))[::-2]
-        assert loops_rows(_loops.take(got, idx)) == rows(_kernels.take(want, idx))
 
 
 # Dense references for the payload products: one dot over every position
@@ -151,17 +149,6 @@ def dense_vecmat(v, a):
 def dense_matmul(a, b):
     cols = tuple(zip(*b))
     return tuple(tuple(dense_dot(row, col) for col in cols) for row in a)
-
-
-def dense_running_maxima(b, x, cap, left=False):
-    out = [tuple(x)]
-    for _ in range(cap):
-        step = dense_vecmat(out[-1], b) if left else dense_matvec(b, out[-1])
-        nxt = tuple(map(_loops._p_add, out[-1], step))
-        if nxt == out[-1]:
-            break
-        out.append(nxt)
-    return out
 
 
 # Each number type with many equal sums: int, thirds (ints and Fractions,
@@ -202,15 +189,6 @@ class TestPayloadLoopsMatchDense:
         assert repr(_loops.matmul(a, b)) == repr(dense_matmul(a, b))
         assert repr(_loops.matvec(a, v)) == repr(dense_matvec(a, v))
         assert repr(_loops.vecmat(u, a)) == repr(dense_vecmat(u, a))
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.data(), VALUES, SHARES, st.integers(1, 7), st.booleans())
-    def test_running_maxima(self, data, values, share, n, left):
-        b = data.draw(payload_rows(values, share, (n, n)))
-        (x,) = data.draw(payload_rows(values, share, (1, n)))
-        cap = data.draw(st.integers(0, n))
-        got = _loops.running_maxima(b, x, cap, left=left)
-        assert repr(got) == repr(dense_running_maxima(b, x, cap, left))
 
     def test_signed_zero_ties(self):
         # -0.0 + -0.0 is -0.0 and every other sum of zeros 0.0: each output

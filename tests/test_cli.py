@@ -869,13 +869,16 @@ class TestLazyNumpy:
     def test_once_numpy_is_imported_small_solves_take_the_kernels(
         self, tmp_path, imported
     ):
-        # the payload star and chains are stubbed out, so a solve that
-        # reaches them exits 4 (internal error), and exit 0 shows that the
-        # int64 kernels ran them
+        # the payload star and rank-one update are stubbed out, so a solve
+        # that reaches them exits 4 (internal error), and exit 0 shows that
+        # the int64 kernels ran them; a stubbed name must exist, or the stub
+        # would only add an attribute
         prelude = (
             "import numpy\n" * imported
             + "from tropsched import _loops\n"
-            "_loops.closure = _loops.running_maxima = None"
+            "for name in ('closure', 'outer_acc'):\n"
+            "    assert callable(getattr(_loops, name)), name\n"
+            "    setattr(_loops, name, None)"
         )
         argv = ["solve", _layered_file(tmp_path, 30), "--objective", "makespan"]
         (run,) = _fresh_cli([argv], prelude=prelude)["runs"]

@@ -823,25 +823,6 @@ def star_contract(d, t):
     return t, tuple(r[t] for r in rows[: t + 1])
 
 
-def dense_running_maxima(b, x, cap, left=False):
-    def reset(arr):
-        return np.where(arr > _kernels.BOTTOM_CUTOFF, arr, _kernels.NEG)
-
-    b = reset(b)
-    rows = [reset(x)]
-    for _ in range(cap):
-        cur = rows[-1]
-        if left:
-            step = np.max(cur[:, None] + b, axis=0, initial=_kernels.NEG)
-        else:
-            step = np.max(b + cur[None, :], axis=1, initial=_kernels.NEG)
-        nxt = reset(np.maximum(cur, step))
-        if np.array_equal(nxt, cur):
-            break
-        rows.append(nxt)
-    return np.stack(rows)
-
-
 def rand_array(seed, shape, share, lo, hi, drift=False):
     """int64 matrix with about `share` finite entries in [lo, hi]; with
     `drift`, its bottoms sit anywhere in the lower half of the range
@@ -908,15 +889,6 @@ class TestSparseKernelParity:
             b = blank_lines(seed + 3, b, drift)
         assert payloads(_kernels.matmul(a, b)) == payloads(dense_matmul(a, b))
 
-    def _running_maxima(self, n, share, seed, drift=False):
-        # positive entries keep the chains growing up to the cap; a sparse
-        # start leaves rows whose entries meet only bottoms of x
-        b = rand_array(seed, (n, n), share, -9, 1, drift)
-        x = rand_array(seed + 1, n, 0.1, -9, 9, drift)
-        for left in (False, True):
-            got = _kernels.running_maxima(b, x, n - 2, left=left)
-            assert payloads(got) == payloads(dense_running_maxima(b, x, n - 2, left))
-
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 60), SHARES, SEEDS, st.sampled_from([0, 2]))
     def test_closure(self, n, share, seed, hi):
@@ -934,11 +906,6 @@ class TestSparseKernelParity:
     def test_matmul(self, m, k, n, share, seed, blank):
         self._matmul(m, k, n, share, seed, blank=blank)
 
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(1, 60), SHARES, SEEDS)
-    def test_running_maxima(self, n, share, seed):
-        self._running_maxima(n, share, seed)
-
     @settings(
         max_examples=30,
         deadline=None,
@@ -949,7 +916,6 @@ class TestSparseKernelParity:
         self._closure(n, share, seed, drift=True)
         self._matmul(n, n, n, share, seed, drift=True)
         self._matmul(n, 1, n, share, seed, drift=True, blank=True)
-        self._running_maxima(n, share, seed, drift=True)
         self._closure(n, share, seed, drift=True, hi=2)
 
     def test_restricted_closure_adds_no_drift(self, small_sentinels):
