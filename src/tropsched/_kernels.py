@@ -277,13 +277,9 @@ def closure(a):
     at the rows and columns where both are finite, gathered while that
     block is sparse and through the slice otherwise.  On a project network
     without maximal time lags every column above the diagonal is empty,
-    so a step is one row fold.
-
-    The stop is Floyd-Warshall's, and so is what the stopped d holds for
-    `semiring._positive_cycle_witness`: before pivot t, Floyd-Warshall's
-    d[t][t] is the heaviest cycle through t over nodes below t, which is
-    gamma, and its d[u][t] for u < t the longest path u -> t through them,
-    which is column t.  The rest of d past node t is not a closure.
+    so a step is one row fold.  `_loops.closure` borders the same way, so
+    both backends return the same (d, t).  The rest of d past node t is
+    not a closure.
     """
     finite = a > BOTTOM_CUTOFF
     d = np.where(finite, a, NEG)

@@ -134,37 +134,41 @@ def scale_max(acc, scale, base):
 
 
 def closure(a):
-    """Floyd-Warshall max-plus star A* = I max A+ of square `a` as mutable
-    row lists, stopped before the first pivot t whose diagonal d[t][t] is
-    positive.
-
-    Returns (d, t), with t = len(a) when no cycle is positive.  Before
-    pivot t, d[t][t] is the heaviest cycle through t over nodes below t,
-    and d[u][t] for u < t the longest path u -> t through them: the stop
-    and the column t at and above the diagonal that `_kernels.closure`
-    also gives, and all `semiring._positive_cycle_witness` reads.  A float
-    diagonal counts as positive only above FLOAT_TOL, so that a cycle
-    whose float weight is rounding noise (0.1 + 0.2 - 0.3) does not make
-    feasible data infeasible.
+    """Star A* = I max A+ (max-plus) of square `a` as mutable row lists,
+    stopped at the first node t that closes a positive cycle over nodes
+    0..t: the bordering of `_kernels.closure` over payload rows, which
+    gives the same (d, t).  Step m sets row m to r S and column m to S c
+    (`_best`), for S the star of nodes below m and r and c the finite
+    entries of row m left of the diagonal and of column m above it.  A
+    gamma = a[m][m] max r S c that `_positive` accepts stops the pass with
+    d[t][t] = gamma; else S takes column m (x) row m where both are finite.
     """
     d = [list(r) for r in a]
-    n = len(d)
-    for k in range(n):
-        dk = d[k]
-        if dk[k] is not None and _positive(dk[k]):
-            return d, k
-        for i in range(n):
-            dik = d[i][k]
-            if dik is None:
-                continue
-            di = d[i]
-            for j in range(n):
-                dkj = dk[j]
-                if dkj is None:
-                    continue
-                v = dik + dkj
-                if di[j] is None or v > di[j]:
-                    di[j] = v
-    for i, row in enumerate(d):
-        row[i] = 0
-    return d, n
+    for m, dm in enumerate(d):
+        # r S: of two equal sums the first stays, as in `_fold`
+        row = [None] * m
+        for k, x in enumerate(dm[:m]):
+            if x is not None:
+                for j, y in enumerate(d[k][:m]):
+                    if y is not None and (row[j] is None or x + y > row[j]):
+                        row[j] = x + y
+        dm[:m] = row
+        c = [(k, d[k][m]) for k in range(m) if d[k][m] is not None]
+        gamma = dm[m]
+        if c:
+            col = [_best(c, di) for di in d[:m]]
+            for di, y in zip(d, col):
+                di[m] = y
+            gamma = _p_add(gamma, _best(c, row))
+        if gamma is not None and _positive(gamma):
+            dm[m] = gamma
+            return d, m
+        dm[m] = 0
+        if c:
+            fr = [(j, y) for j, y in enumerate(row) if y is not None]
+            for di, x in zip(d, col):
+                if x is not None:
+                    for j, y in fr:
+                        if di[j] is None or x + y > di[j]:
+                            di[j] = x + y
+    return d, len(d)

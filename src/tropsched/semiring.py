@@ -714,20 +714,19 @@ def _positive_cycle_witness(k, a, d, t):
     """An elementary cycle of positive weight, as (nodes, weight), read off
     `d`, the closure of `a` stopped at node t with d[t][t] positive.
 
-    Of d only d[u][t] for u <= t is read, which both backends' closures
-    agree on: d[t][t] is the heaviest cycle through t over nodes below t,
-    and d[u][t] for u < t the longest path u -> t through them.  Call an
-    edge u -> v (a finite a[u][v]) tight when a[u][v] + d[v][t] equals
-    d[u][t] for v < t, or a[u][t] equals d[u][t] for v = t: every longest
-    path is made of tight edges, and the weights along a tight path from t
-    back to t telescope to d[t][t] > 0.  A breadth-first search from t over
-    tight edges so closes the cycle with the fewest edges, which is
-    elementary, in O(n^2).  Float sums are tight within a relative
-    FLOAT_TOL, since the payload Floyd-Warshall adds the segments of a path
-    in pivot order, not along it.  `a` and `d` are in the form of backend
-    `k` (`_operands`); only column t of d and the finite entries of the
-    rows of a that the search reaches, in ascending column order, are read
-    as payloads, and the weight is a payload.
+    Of d only d[u][t] for u <= t is read: d[t][t] is the heaviest cycle
+    through t over nodes below t, and d[u][t] for u < t the longest path
+    u -> t through them.  Call an edge u -> v (a finite a[u][v]) tight when
+    a[u][v] + d[v][t] equals d[u][t] for v < t, or a[u][t] equals d[u][t]
+    for v = t: every longest path is made of tight edges, and the weights
+    along a tight path from t back to t telescope to d[t][t] > 0.  A
+    breadth-first search from t over tight edges so closes the cycle with
+    the fewest edges, which is elementary, in O(n^2).  Float sums are tight
+    within a relative FLOAT_TOL, since the closure adds the segments of a
+    path in bordering order, not along it.  `a` and `d` are in the form of
+    backend `k` (`_operands`); only column t of d and the finite entries of
+    the rows of a that the search reaches, in ascending column order, are
+    read as payloads, and the weight is a payload.
     """
     into = k.to_payload_vec(k.transpose(d)[t])
     paths = {t: ((t,), 0)}

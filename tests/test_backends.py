@@ -1,6 +1,7 @@
 """The payload kernels (`_loops`) against their int64 namesakes
 (`_kernels`), and the one backend choice (`semiring._operands`)."""
 
+import random
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -8,7 +9,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tropsched import PositiveCycleError, TropMatrix, _kernels, _loops, semiring
+import randgen
+from tropsched import (
+    PositiveCycleError,
+    TropMatrix,
+    _kernels,
+    _loops,
+    reduce_instance,
+    semiring,
+)
 from tropsched.semiring import _operands, _payload
 
 N = None
@@ -38,15 +47,6 @@ def vec(arr):
 
 def loops_rows(form):
     return tuple(map(tuple, form))
-
-
-def star_contract(d, t):
-    """What two backends' stars must share: the whole star when no cycle
-    is positive (t = n), else the stop t and column t at and above the
-    diagonal, all the positive-cycle witness reads."""
-    if t == len(d):
-        return t, d
-    return t, tuple(r[t] for r in d[: t + 1])
 
 
 class TestPayloadKernelsMatchInt64:
@@ -109,11 +109,11 @@ class TestPayloadKernelsMatchInt64:
     @given(SIZES, BOTTOMS, SEEDS, st.sampled_from([0, 2]))
     def test_star(self, n, bottoms, seed, hi):
         # hi = 0 leaves no cycle positive; hi = 2 often closes one, and
-        # then both stop at the same node with the same column above it
+        # then both stop at the same node with the same stopped matrix
         rng = np.random.default_rng(seed)
         a = rand_array(rng, (n, n), bottoms, hi=hi)
         (got, t), (want, u) = _loops.closure(rows(a)), _kernels.closure(a)
-        assert star_contract(loops_rows(got), t) == star_contract(rows(want), u)
+        assert (t, loops_rows(got)) == (u, rows(want))
 
     def test_star_of_a_positive_cycle(self):
         # the cycle 0 -> 1 -> 2 -> 0 first closes at its highest node
@@ -121,6 +121,124 @@ class TestPayloadKernelsMatchInt64:
         a[0, 1], a[1, 2], a[2, 0] = 2, -1, 0
         assert _loops.closure(rows(a))[1] == 2
         assert _kernels.closure(a)[1] == 2
+
+
+def floyd_warshall(a):
+    """(d, t): the Floyd-Warshall star of payload rows `a`, stopped before
+    the first pivot t whose diagonal is positive (`_loops._positive`), and
+    with A*'s zero diagonal when t = n: the reference for the payload
+    closure, which borders.  It sums a path in pivot order, so its float
+    stars may differ from the bordered ones in their last bits."""
+    d = [list(r) for r in a]
+    n = len(d)
+    for k in range(n):
+        dk = d[k]
+        if dk[k] is not None and _loops._positive(dk[k]):
+            return d, k
+        for di in d:
+            dik = di[k]
+            if dik is None:
+                continue
+            for j, dkj in enumerate(dk):
+                if dkj is not None and (di[j] is None or dik + dkj > di[j]):
+                    di[j] = dik + dkj
+    for i, row in enumerate(d):
+        row[i] = 0
+    return d, n
+
+
+def potential_array(rng, n, bottoms):
+    """int64 n x n array with no positive cycle: potential differences
+    p[v] - p[u] less a slack that is mostly 0, so that many cycles weigh
+    exactly 0, with about `bottoms` of the entries at the sentinel."""
+    p = rng.integers(-20, 20, size=n, endpoint=True)
+    slack = rng.choice([0, 0, 0, 1, 3], size=(n, n))
+    arr = p[None, :] - p[:, None] - slack
+    arr[rng.random((n, n)) < bottoms] = _kernels.NEG
+    return arr
+
+
+def relabel(d, perm):
+    """P d P^T for payload rows `d`: entry (i, j) is d[perm[i]][perm[j]]."""
+    return tuple(tuple(d[i][j] for j in perm) for i in perm)
+
+
+def closed(k, arr):
+    """(t, d): backend k's closure of the int64 array `arr`, d as payload
+    rows."""
+    if k is _kernels:
+        d, t = _kernels.closure(arr)
+        return t, rows(d)
+    d, t = _loops.closure(rows(arr))
+    return t, loops_rows(d)
+
+
+BACKENDS = pytest.mark.parametrize("k", [_loops, _kernels], ids=["loops", "kernels"])
+
+
+class TestStarRelabelling:
+    """A star commutes with relabelling the nodes: closure(P a P^T) is
+    P closure(a) P^T, on both backends, although a relabelled matrix
+    borders its nodes in another order."""
+
+    @BACKENDS
+    @settings(max_examples=60, deadline=None)
+    @given(n=SIZES, bottoms=BOTTOMS, seed=SEEDS)
+    def test_exact(self, k, n, bottoms, seed):
+        rng = np.random.default_rng(seed)
+        a = potential_array(rng, n, bottoms)
+        perm = rng.permutation(n).tolist()
+        t, d = closed(k, a)
+        assert t == n
+        assert closed(k, a[np.ix_(perm, perm)]) == (n, relabel(d, perm))
+
+    @BACKENDS
+    @pytest.mark.parametrize("order", ["reversed", "shuffled"])
+    def test_layered_instance(self, k, order):
+        # R has its lags left of the diagonal only, so its own closure
+        # folds rows alone; reversed it has them above the diagonal only
+        # (column folds), and shuffled on both sides (block updates too)
+        n = 60
+        R, _ = reduce_instance(randgen.layered_instance(random.Random(n), n))
+        a = _kernels.from_payload_rows(R._rows)
+        perm = list(range(n))[::-1]
+        if order == "shuffled":
+            random.Random(1).shuffle(perm)
+        b = a[np.ix_(perm, perm)]
+        finite = b > _kernels.BOTTOM_CUTOFF
+        assert np.triu(finite, 1).any()
+        assert np.tril(finite, -1).any() == (order == "shuffled")
+        t, d = closed(k, a)
+        assert t == n
+        assert closed(k, b) == (n, relabel(d, perm))
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(0, 24), bottoms=BOTTOMS, seed=SEEDS)
+    def test_float_tenths(self, n, bottoms, seed):
+        # tenths as floats, with a slack of -1 now and then so that some
+        # cycles are positive: in either order the stop node is exact
+        # mode's and Floyd-Warshall's, and the star, or the column the
+        # witness reads, is Floyd-Warshall's within 1e-9
+        rng = np.random.default_rng(seed)
+        p = rng.integers(-30, 30, size=n, endpoint=True)
+        tenths = p[None, :] - p[:, None] - rng.choice([0, 0, 0, 1, 2, -1], size=(n, n))
+        tenths[rng.random((n, n)) < bottoms] = _kernels.NEG
+        exact = tuple(
+            tuple(None if x is None else Fraction(x, 10) for x in r)
+            for r in rows(tenths)
+        )
+        perm = rng.permutation(n).tolist()
+        for e in (exact, relabel(exact, perm)):
+            a = tuple(tuple(None if x is None else float(x) for x in r) for r in e)
+            (d, t), (want, u) = _loops.closure(a), floyd_warshall(a)
+            assert t == u == _loops.closure(e)[1]
+            if t < n:
+                d, want = [r[t] for r in d[: t + 1]], [r[t] for r in want[: t + 1]]
+            else:
+                d, want = sum(d, []), sum(want, [])
+            for x, y in zip(d, want):
+                assert (x is None) == (y is None)
+                assert x is None or abs(x - y) <= 1e-9
 
 
 # Dense references for the payload products: one dot over every position
