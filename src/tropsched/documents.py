@@ -434,6 +434,15 @@ def _choice_from_json(obj, key, choices):
     return obj[key]
 
 
+def _flag_from_json(obj, key):
+    # not bool(obj[key]): it reads "false" as True and null as False
+    if not isinstance(obj[key], bool):
+        raise InstanceFormatError(
+            f"bad result document: {key} must be true or false"
+        )
+    return obj[key]
+
+
 def _schedule_json(sched):
     if sched is None:
         return None
@@ -483,101 +492,65 @@ def _violations_from_json(obj):
     )
 
 
-def _generator_json(g):
-    """The generator's rows; an int64 generator stays its array, which
-    `_write` writes without boxing an entry into a payload."""
-    arr = g._held_int_array()
-    if arr is None or not arr.size:
-        return [_vector_json(row) for row in g._rows]
-    return _ArrayRows(arr)
+# a placeholder for the generator: json.dumps(obj, indent=2) lays out the
+# rest of the document, and the generator's rows replace this member's value
+_GENERATOR = "generator rows"
+_GENERATOR_MEMBER = '\n  "generator": '
 
 
-_INDENT = "  "
-
-
-class _ArrayRows:
-    """The rows of a non-empty int64 array, as a JSON list of lists."""
-
-    __slots__ = ("arr",)
-
-    def __init__(self, arr):
-        self.arr = arr
-
-
-def _row_piece(depth):
-    """piece(payload, ends_row) for `_kernels.json_pieces`, laying out a
-    list of rows at `depth`: an entry's line break and indent, its token,
-    then "," or its row's close and the next row's open."""
-    entry = "\n" + _INDENT * (depth + 2)
-    row = "\n" + _INDENT * (depth + 1)
-    next_row = row + "]," + row + "["
-
+def _row_piece(v, ends_row):
+    """The piece `_kernels.json_pieces` repeats for a generator entry: its
+    line break and indent, its token, then "," or its row's close and the
+    next row's open."""
     import json
 
-    def piece(v, ends_row):
-        return entry + json.dumps(_payload_json(v)) + (next_row if ends_row else ",")
-
-    return piece
-
-
-def _write_array_rows(arr, depth, out):
-    from . import _kernels
-
-    row = "\n" + _INDENT * (depth + 1)
-    out.append("[" + row + "[")
-    out.extend(_kernels.json_pieces(arr, _row_piece(depth)))
-    # the last entry closes its row and opens no next one
-    out[-1] = out[-1][: -len("," + row + "[")]
-    out.append("\n" + _INDENT * depth + "]")
+    end = "\n    ],\n    [" if ends_row else ","
+    return "\n      " + json.dumps(_payload_json(v)) + end
 
 
 @functools.cache
-def _flat_encoder(depth):
-    """The C encoder, separating the entries of a flat list at `depth` as
-    the indented encoder does."""
+def _flat_encoder():
+    """The C encoder, separating the entries of a generator row as the
+    indented encoder does."""
     import json
 
-    return json.JSONEncoder(separators=(",\n" + _INDENT * depth, ": "))
+    return json.JSONEncoder(separators=(",\n      ", ": "))
 
 
-def _write(obj, depth, out):
-    """Append the text `json.dumps(obj, indent=2)` gives for `obj` at
-    nesting `depth`.  That call takes the pure-Python encoder; here each
-    flat list is encoded by the C encoder in one call, and an int64
-    generator is appended as the pieces `_kernels.json_pieces` repeats,
-    one per entry; the leaves come out the same, so the bytes match."""
-    import json
+def _append_generator_rows(g, out):
+    """Append the generator's rows to `out`, laid out as `json.dumps(obj,
+    indent=2)` lays out a member of `obj`: an int64 generator as the pieces
+    `_kernels.json_pieces` repeats, one per entry, with no entry boxed into
+    a payload; payload rows with one C-encoder call each."""
+    n, cols = g.shape
+    arr = g._held_int_array()
+    if not cols:
+        # no entries, so none to box, whatever form the generator holds
+        rows = ["[]"] * n
+    elif arr is not None:
+        from . import _kernels
 
-    if type(obj) is _ArrayRows:
-        _write_array_rows(obj.arr, depth, out)
+        out.append("[\n    [")
+        out.extend(_kernels.json_pieces(arr, _row_piece))
+        # the last entry closes its row and opens no next one
+        out[-1] = out[-1][: -len(",\n    [")]
+        out.append("\n  ]")
         return
-    if not isinstance(obj, (dict, list)):
-        out.append(json.dumps(obj))
-        return
-    if not obj:
-        out.append("{}" if isinstance(obj, dict) else "[]")
-        return
-    inner = "\n" + _INDENT * (depth + 1)
-    close = "\n" + _INDENT * depth
-    if isinstance(obj, dict):
-        entries = [(json.dumps(key) + ": ", value) for key, value in obj.items()]
-        brackets = "{}"
-    elif any(isinstance(v, (dict, list)) for v in obj):
-        entries = [("", value) for value in obj]
-        brackets = "[]"
     else:
-        body = _flat_encoder(depth + 1).encode(obj)[1:-1]
-        out.append("[" + inner + body + close + "]")
-        return
-    out.append(brackets[0])
-    for i, (key, value) in enumerate(entries):
-        out.append(("," if i else "") + inner + key)
-        _write(value, depth + 1, out)
-    out.append(close + brackets[1])
+        encode = _flat_encoder().encode
+        rows = [
+            "[\n      " + encode(_vector_json(row))[1:-1] + "\n    ]"
+            for row in g._rows
+        ]
+    out.append("[\n    " + ",\n    ".join(rows) + "\n  ]" if rows else "[]")
 
 
 def result_to_json(doc):
-    """The result document as 2-space-indented JSON, one entry per line."""
+    """The result document as `json.dumps(obj, indent=2)` writes it, with a
+    trailing newline.  That call lays out everything but the generator,
+    whose n x n entries `_append_generator_rows` lays out in its place."""
+    import json
+
     obj = {
         "format": RESULT_FORMAT,
         "objective": doc.objective,
@@ -586,7 +559,7 @@ def result_to_json(doc):
         "unit": doc.unit,
         "activities": list(doc.names),
         "theta": _scalar_json(doc.theta),
-        "generator": _generator_json(doc.generator),
+        "generator": _GENERATOR,
         "u_low": _vector_json(doc.u_low._e),
         "u_high": _vector_json(doc.u_high._e),
         "schedules": {
@@ -599,9 +572,14 @@ def result_to_json(doc):
             "high": _violations_json(doc.violations_high),
         },
     }
-    out = []
-    _write(obj, 0, out)
-    out.append("\n")
+    # a JSON string holds no raw line break, and a nested member is indented
+    # deeper, so this text occurs only where the top-level member is
+    head, _, tail = json.dumps(obj, indent=2).partition(
+        _GENERATOR_MEMBER + json.dumps(_GENERATOR)
+    )
+    out = [head + _GENERATOR_MEMBER]
+    _append_generator_rows(doc.generator, out)
+    out.append(tail + "\n")
     return "".join(out)
 
 
@@ -633,7 +611,7 @@ def result_from_json(text):
             u_high=_vector_from_json(obj["u_high"], "u_high"),
             low=_schedule_from_json(obj["schedules"]["low"]),
             high=_schedule_from_json(obj["schedules"]["high"]),
-            unique=bool(obj["unique"]),
+            unique=_flag_from_json(obj, "unique"),
             violations_low=_violations_from_json(obj["verification"]["low"]),
             violations_high=_violations_from_json(obj["verification"]["high"]),
         )

@@ -487,6 +487,9 @@ class TestChart:
             ("unit", ["hour"]),
             ("start", "12345"),
             ("finish", {"a": 1}),
+            ("unique", "false"),
+            ("unique", 0),
+            ("unique", None),
         ],
     )
     def test_wrong_types_are_exit_2(self, tmp_path, capsys, key, value):

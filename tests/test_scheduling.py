@@ -711,8 +711,9 @@ class TestLargerInstances:
             assert makespan_value(sched) == fam.theta
 
     def test_extract_reads_the_generator_array(self):
-        # n = 30 is below the matvec work threshold, but G already holds its
-        # int64 array, so G u runs there and boxes no payload rows
+        # n = 30 is past the 20-row `_KERNEL_DIM` gate once numpy is imported,
+        # and G already holds its int64 array, so G u runs there and boxes no
+        # payload rows
         fam = solve_makespan(randgen.layered_instance(random.Random(30), 30))
         assert fam.G._held_int_array() is not None
         for u in (fam.u_low, fam.u_high):
